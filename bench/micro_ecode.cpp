@@ -289,21 +289,15 @@ dproc::bench::JsonBenchEntry measure_fresh_pooled(std::uint64_t iters) {
   return entry;
 }
 
-dproc::bench::JsonBenchEntry measure_dispatch(dproc::ecode::VmDispatch tier,
-                                              const char* name,
-                                              std::uint64_t iters) {
+dproc::bench::JsonBenchEntry measure_corpus(std::uint64_t iters) {
   // Interpreter throughput over a heterogeneous filter corpus, evaluated
   // round-robin the way a d-mon hosting many channels (each with its own
-  // filter) interleaves them. The varied opcode mix is what separates the
-  // tiers: the switch loop funnels every handler transition through one
-  // shared indirect branch whose history the interleaving scrambles, while
-  // the threaded tier's per-handler branches keep per-opcode-pair history.
-  // One corpus pass executes ~12k VM instructions; scale the outer count
-  // down accordingly.
+  // filter) interleaves them. One corpus pass executes ~12k VM
+  // instructions; scale the outer count down accordingly.
   using Clock = std::chrono::steady_clock;
   // Control-flow-dense filters (counters, rate accumulators, hysteresis
-  // state machines): the handler work is cheap, so dispatch — the thing
-  // the tier changes — is what gets measured.
+  // state machines): the handler work is cheap, so instruction dispatch is
+  // what gets measured.
   static const char* const kCorpus[] = {
       // counted integer loop (the classic dispatch stressor)
       "int s = 0; for (int i = 0; i < 1000; ++i) s += i; return s;",
@@ -352,7 +346,6 @@ dproc::bench::JsonBenchEntry measure_dispatch(dproc::ecode::VmDispatch tier,
   const std::uint64_t outer = std::max<std::uint64_t>(iters / 200, 8);
 
   dproc::ecode::Vm vm;
-  vm.set_dispatch(tier);
   dproc::ecode::FilterResult result;
   for (const Filter& filter : corpus) {
     (void)vm.run(filter.bytecode(), input, result);
@@ -372,7 +365,7 @@ dproc::bench::JsonBenchEntry measure_dispatch(dproc::ecode::VmDispatch tier,
                               .count());
 
   dproc::bench::JsonBenchEntry entry;
-  entry.name = name;
+  entry.name = "filter_eval_corpus";
   entry.iterations = outer;
   entry.ns_per_event = ns / static_cast<double>(outer);
   entry.ops_per_sec = 1e9 / entry.ns_per_event;
@@ -404,31 +397,17 @@ int main(int argc, char** argv) {
   auto steady = best_of(3, [&] { return measure_steady_state(iters); });
   auto pooled = best_of(3, [&] { return measure_pooled(iters); });
   auto fresh = best_of(3, [&] { return measure_fresh_pooled(iters); });
-  auto tier_switch = best_of(3, [&] {
-    return measure_dispatch(dproc::ecode::VmDispatch::kSwitch,
-                            "filter_eval_switch", iters);
-  });
-  auto tier_threaded = best_of(3, [&] {
-    return measure_dispatch(dproc::ecode::VmDispatch::kThreaded,
-                            "filter_eval_threaded", iters);
-  });
-  const double speedup = tier_switch.ns_per_event / tier_threaded.ns_per_event;
-  tier_threaded.extras.emplace_back("speedup_vs_switch", speedup);
-  tier_threaded.extras.emplace_back(
-      "threaded_available",
-      dproc::ecode::Vm::threaded_available() ? 1.0 : 0.0);
+  auto corpus = best_of(3, [&] { return measure_corpus(iters); });
   const double fresh_ratio = fresh.ns_per_event / steady.ns_per_event;
   fresh.extras.emplace_back("ratio_vs_steady", fresh_ratio);
 
   const bool ok = dproc::bench::write_bench_json(
       "micro_ecode", {steady, pooled, fresh, measure_per_call(iters),
-                      tier_switch, tier_threaded});
+                      corpus});
   if (!ok) return 1;
 
   // Exit-code bars: the pooled fresh-call path must stay within 1.5x of
-  // steady state and allocation-free once warm. (The threaded-vs-switch
-  // speedup is recorded in the JSON but not exit-enforced — it varies with
-  // host branch predictors more than with regressions in this repo.)
+  // steady state and allocation-free once warm.
   if (fresh_ratio > 1.5) {
     std::fprintf(stderr,
                  "PERF BAR FAILED: fresh_pooled %.1f ns vs steady %.1f ns "

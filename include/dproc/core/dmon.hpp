@@ -252,7 +252,7 @@ class DMon {
   }
 
   /// Observer invoked after each poll's collection phase with the full
-  /// local sample vector (history recorders, QoS managers, ...).
+  /// local sample vector (tests, benchmarks, ...).
   using SampleObserver =
       std::function<void(const std::vector<MetricSample>&, SimTime)>;
   void add_sample_observer(SampleObserver observer) {
@@ -487,7 +487,8 @@ class DMon {
   void broadcast_interest();
   /// Counts samples outside every registered range; warns on first sight.
   void note_strays(std::size_t count);
-  /// Allocates the next publish-side trace context (publish hop stamped).
+  /// Allocates the next publish-side trace context (publish hop stamped);
+  /// an invalid context, which submits untraced, when tracing is off.
   [[nodiscard]] net::TraceContext begin_trace(kecho::ChannelId channel);
   /// Stamps the render hop for a delivered traced event and runs the
   /// staleness-SLO watchdog against `slo_channel`'s budget.

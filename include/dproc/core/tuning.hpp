@@ -182,7 +182,7 @@ class PublisherTuning {
   /// sketch-builtin gate.
   [[nodiscard]] ecode::CompileEnv compile_env() const;
   /// Reconstructs vm_ with the current fuel override, preserving the
-  /// dispatch tier default and the bound sketch host.
+  /// bound sketch host.
   void rebuild_vm();
   [[nodiscard]] bool passes_parameters(const MetricSample& sample,
                                        const std::vector<MetricSample>& all,

@@ -19,14 +19,6 @@
 // instructions_executed identical to unoptimized execution) but the limit
 // is only *checked* at control-flow edges — straight-line code cannot loop,
 // so checking at jumps and returns bounds execution all the same.
-//
-// Dispatch tiers: the interpreter body lives once in vm_dispatch.inc and is
-// compiled twice — as the portable switch loop (the reference interpreter)
-// and, when the build has DPROC_VM_THREADED and a compiler with GNU
-// labels-as-values, as a computed-goto threaded loop whose per-handler
-// indirect branches predict far better than the switch's single one. Both
-// tiers execute identical semantics (the differential fuzz harness pins
-// outputs, status and fuel); set_dispatch() selects at run time.
 #pragma once
 
 #include <algorithm>
@@ -93,11 +85,6 @@ class SketchHost {
   virtual double merge_aux(std::int64_t index) = 0;
 };
 
-/// Run-time interpreter selection. kAuto picks the threaded tier when the
-/// build carries it and falls back to the switch loop otherwise; kSwitch
-/// forces the reference interpreter (differential testing, debugging).
-enum class VmDispatch : std::uint8_t { kAuto, kSwitch, kThreaded };
-
 class Vm {
  public:
   explicit Vm(VmLimits limits = {}) : limits_(limits) {
@@ -113,15 +100,6 @@ class Vm {
   /// After one warm-up run of the same program this allocates nothing.
   Status run(const Bytecode& code, std::span<const Sample> input,
              FilterResult& result);
-
-  /// True when this build carries the computed-goto interpreter.
-  [[nodiscard]] static bool threaded_available();
-
-  /// Selects the dispatch tier for subsequent run() calls. Requesting
-  /// kThreaded in a build without it silently runs the switch loop — the
-  /// two tiers are semantically identical by contract.
-  void set_dispatch(VmDispatch dispatch) { dispatch_ = dispatch; }
-  [[nodiscard]] VmDispatch dispatch() const { return dispatch_; }
 
   /// Binds the sketch state the kCallSketch builtins read; nullptr (the
   /// default) makes any sketch builtin a runtime error. Not owned.
@@ -149,17 +127,10 @@ class Vm {
     };
   };
 
-  /// The interpreter body (vm_dispatch.inc), compiled per dispatch tier.
-  Status run_switch(const Bytecode& code, std::span<const Sample> input,
-                    FilterResult& result);
-  Status run_threaded(const Bytecode& code, std::span<const Sample> input,
-                      FilterResult& result);
-
   /// Grows the dense output arrays to cover `idx` (cold path).
   void ensure_output_slot(std::size_t idx);
 
   VmLimits limits_;
-  VmDispatch dispatch_ = VmDispatch::kAuto;
   SketchHost* sketch_ = nullptr;
 
   // Scratch arenas, reused across runs.

@@ -161,13 +161,14 @@ class Channel {
 
   /// Publishes to every remote member known at submission time. Returns the
   /// kernel CPU cost charged for the submission.
-  SimDuration submit(const net::MessagePtr& payload);
-
-  /// Traced publish: stamps the submit hop into this node's hop log and
-  /// appends the context to the wire frame so downstream hops can continue
-  /// the chain. Falls back to the untraced path (byte-identical frames)
-  /// when tracing is disabled on this host or `trace` is invalid.
-  SimDuration submit(const net::MessagePtr& payload, net::TraceContext trace);
+  ///
+  /// Every submit takes an optional trace context. A valid one on a host
+  /// with tracing enabled stamps the submit hop into this node's hop log
+  /// and appends the context to the wire frame so downstream hops can
+  /// continue the chain; otherwise the frame is untraced (byte-identical
+  /// to a submit without a context).
+  SimDuration submit(const net::MessagePtr& payload,
+                     net::TraceContext trace = {});
 
   /// Per-member payload selection, for interest-scoped fan-out: `select`
   /// returns the payload one member should receive — or nullptr to skip
@@ -177,20 +178,16 @@ class Channel {
   /// one submitted event however many members were reached; the kernel
   /// cost charged is per member actually sent to, sized by its own frame.
   using PayloadSelector = std::function<net::MessagePtr(net::NodeId)>;
-  SimDuration submit_to_each(const PayloadSelector& select);
-  /// Traced variant; same fallback rules as the traced submit().
   SimDuration submit_to_each(const PayloadSelector& select,
-                             net::TraceContext trace);
+                             net::TraceContext trace = {});
 
   /// Publishes to one specific member only — the hierarchical overlay's
   /// leaf-to-aggregator path. Other members are neither sent to nor
   /// charged; a `member` not currently on the channel makes the call a
   /// zero-cost no-op (the frame would reach nobody). Counts as one
   /// submitted event, like a submit_to_each that skipped everyone else.
-  SimDuration submit_to(net::NodeId member, const net::MessagePtr& payload);
-  /// Traced variant; same fallback rules as the traced submit().
   SimDuration submit_to(net::NodeId member, const net::MessagePtr& payload,
-                        net::TraceContext trace);
+                        net::TraceContext trace = {});
 
   [[nodiscard]] ChannelId id() const { return id_; }
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -205,13 +202,10 @@ class Channel {
   friend class Node;
   Channel(Node& node, std::string name) : node_(node), name_(std::move(name)) {}
 
-  /// Shared fan-out path; `trace` non-null appends the wire trailer.
-  SimDuration submit_impl(const net::MessagePtr& payload,
-                          const net::TraceContext* trace);
-  SimDuration submit_each_impl(const PayloadSelector& select,
-                               const net::TraceContext* trace);
-  SimDuration submit_to_impl(net::NodeId member, const net::MessagePtr& payload,
-                             const net::TraceContext* trace);
+  /// Stamps the submit hop for `trace` and returns it for the wire
+  /// trailer, or nullptr (untraced frame) when tracing is off on this host
+  /// or `trace` is invalid.
+  const net::TraceContext* stamp_submit(net::TraceContext& trace);
 
   Node& node_;
   std::string name_;

@@ -594,9 +594,18 @@ void DMon::scan_peer_health(SimTime now) {
   telemetry::FlightRecorder& flight = host_.flight();
   const bool flight_on = flight.enabled();
   if (!flight_on && !health_) return;
+  // Only peers whose raw feed is routed here can go stale. Flat, that is
+  // every peer. Under the hierarchy a leaf's members feed only their
+  // acting aggregator, so a declared zone mate counts only at that
+  // aggregator; a drill target counts at the node that drilled it.
+  const bool acting_leaf =
+      hier_ && zone_acting(leaf_zone_->id) == nic_.node();
   HealthSnapshot census;
-  census.peers_total = peers_.size();
   for (auto& [node, peer] : peers_) {
+    const bool expected = !hier_ || local_drills_.count(node) != 0 ||
+                          (acting_leaf && leaf_zone_->contains(node));
+    if (!expected) continue;
+    ++census.peers_total;
     const PeerState state = state_of(peer);
     if (state == PeerState::kStale) ++census.peers_stale;
     if (state == PeerState::kDead) ++census.peers_dead;
@@ -766,17 +775,14 @@ Status DMon::send_tuning(net::NodeId target, const TuningConfig& config) {
         "control channel not established yet");
   }
   const net::MessagePtr frame = encode_control_event(target, config);
-  if (host_.telemetry().trace_enabled()) {
-    control_channel_->submit(frame, begin_trace(control_channel_->id()));
-  } else {
-    control_channel_->submit(frame);
-  }
+  control_channel_->submit(frame, begin_trace(control_channel_->id()));
   return Status::ok();
 }
 
 net::TraceContext DMon::begin_trace(kecho::ChannelId channel) {
-  const std::int64_t now_ns = host_.engine().now().ns();
   net::TraceContext ctx;
+  if (!host_.telemetry().trace_enabled()) return ctx;
+  const std::int64_t now_ns = host_.engine().now().ns();
   // Cluster-unique and deterministic: the high word is the origin node,
   // the low word a per-node sequence.
   ctx.trace_id = (static_cast<std::uint64_t>(nic_.node()) << 32) |
@@ -1021,11 +1027,7 @@ void DMon::broadcast_interest() {
   w.u32(static_cast<std::uint32_t>(local_interest_.size()));
   for (const std::string& name : local_interest_) w.str(name);
   const net::MessagePtr frame = net::make_message(w.take());
-  if (host_.telemetry().trace_enabled()) {
-    control_channel_->submit(frame, begin_trace(control_channel_->id()));
-  } else {
-    control_channel_->submit(frame);
-  }
+  control_channel_->submit(frame, begin_trace(control_channel_->id()));
 }
 
 void DMon::note_strays(std::size_t count) {
@@ -1048,12 +1050,8 @@ void DMon::submit_per_module(const std::vector<MetricSample>& sorted,
   for (const std::vector<MetricSample>& group : groups_scratch_) {
     if (group.empty()) continue;
     const net::MessagePtr frame = encode_monitor_event(group);
-    if (host_.telemetry().trace_enabled()) {
-      record.submit_cost +=
-          monitor_channel_->submit(frame, begin_trace(monitor_channel_->id()));
-    } else {
-      record.submit_cost += monitor_channel_->submit(frame);
-    }
+    record.submit_cost +=
+        monitor_channel_->submit(frame, begin_trace(monitor_channel_->id()));
     ++record.events_submitted;
     record.samples_published += group.size();
   }
@@ -1122,12 +1120,8 @@ void DMon::submit_batch(std::vector<MetricSample>& sorted, PollRecord& record) {
   const net::MonitorBatch& batch = batch_scratch_;
   const net::MessagePtr full = encode_batch_event(batch);
   if (!config_.batch.interest || peer_interests_.empty()) {
-    if (host_.telemetry().trace_enabled()) {
-      record.submit_cost +=
-          monitor_channel_->submit(full, begin_trace(monitor_channel_->id()));
-    } else {
-      record.submit_cost += monitor_channel_->submit(full);
-    }
+    record.submit_cost +=
+        monitor_channel_->submit(full, begin_trace(monitor_channel_->id()));
   } else {
     // Per-member payload selection: one filtered frame per distinct
     // interest set (members sharing a set share the encoding), the full
@@ -1180,12 +1174,8 @@ void DMon::submit_batch(std::vector<MetricSample>& sorted, PollRecord& record) {
       }
       return frame;
     };
-    if (host_.telemetry().trace_enabled()) {
-      record.submit_cost += monitor_channel_->submit_to_each(
-          select, begin_trace(monitor_channel_->id()));
-    } else {
-      record.submit_cost += monitor_channel_->submit_to_each(select);
-    }
+    record.submit_cost += monitor_channel_->submit_to_each(
+        select, begin_trace(monitor_channel_->id()));
     interest_bytes_saved_ += saved;
     tm_bytes_saved_.add(saved);
   }
@@ -1506,13 +1496,8 @@ void DMon::submit_hier(std::vector<MetricSample>& sorted, PollRecord& record) {
   if (!channel->ready()) return;
   if (!build_publish_batch(sorted, record, batch_scratch_)) return;
   const net::MessagePtr frame = encode_batch_event(batch_scratch_);
-  if (host_.telemetry().trace_enabled()) {
-    record.submit_cost += channel->submit_to(
-        static_cast<net::NodeId>(*act), frame, begin_trace(channel->id()));
-  } else {
-    record.submit_cost +=
-        channel->submit_to(static_cast<net::NodeId>(*act), frame);
-  }
+  record.submit_cost += channel->submit_to(
+      static_cast<net::NodeId>(*act), frame, begin_trace(channel->id()));
   ++record.events_submitted;
   tm_batch_submits_.add();
   tm_batch_samples_.add(batch_scratch_.entries.size());
@@ -1556,11 +1541,7 @@ void DMon::publish_rollups(PollRecord& record) {
       continue;
     }
     const net::MessagePtr frame = encode_aggregate_event(agg_scratch_);
-    if (host_.telemetry().trace_enabled()) {
-      record.submit_cost += up->submit(frame, begin_trace(up->id()));
-    } else {
-      record.submit_cost += up->submit(frame);
-    }
+    record.submit_cost += up->submit(frame, begin_trace(up->id()));
     ++record.events_submitted;
     if (duty.zone->tier < tm_tier_.size()) {
       tm_tier_[duty.zone->tier].tx_events->add();

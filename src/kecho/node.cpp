@@ -61,32 +61,26 @@ bool decode_event_frame(const net::MessagePtr& frame, Event& event) {
   return true;
 }
 
-SimDuration Channel::submit(const net::MessagePtr& payload) {
-  return submit_impl(payload, nullptr);
-}
-
-SimDuration Channel::submit(const net::MessagePtr& payload,
-                            net::TraceContext trace) {
+const net::TraceContext* Channel::stamp_submit(net::TraceContext& trace) {
   telemetry::Registry& tm = node_.host().telemetry();
-  if (!tm.trace_enabled() || !trace.valid()) {
-    return submit_impl(payload, nullptr);
-  }
+  if (!tm.trace_enabled() || !trace.valid()) return nullptr;
   const std::int64_t now_ns = node_.host().engine().now().ns();
   tm.record_hop(telemetry::Hop{
       trace.trace_id, trace.origin, id_, telemetry::HopStage::kSubmit, now_ns,
       now_ns - trace.prev_hop_ns});
   trace.hop = static_cast<std::uint8_t>(telemetry::HopStage::kSubmit);
   trace.prev_hop_ns = now_ns;
-  return submit_impl(payload, &trace);
+  return &trace;
 }
 
-SimDuration Channel::submit_impl(const net::MessagePtr& payload,
-                                 const net::TraceContext* trace) {
+SimDuration Channel::submit(const net::MessagePtr& payload,
+                            net::TraceContext trace) {
+  const net::TraceContext* const stamped = stamp_submit(trace);
   ++submitted_;
   const KechoCosts& costs = node_.costs();
   const SimTime now = node_.host().engine().now();
   const net::MessagePtr frame =
-      encode_event(id_, node_.nic().node(), now, payload, trace);
+      encode_event(id_, node_.nic().node(), now, payload, stamped);
   // Every member is charged the same marshalling cost for the same frame;
   // compute it once outside the fan-out loop.
   const double per_member_cycles =
@@ -116,29 +110,9 @@ SimDuration Channel::submit_impl(const net::MessagePtr& payload,
 }
 
 SimDuration Channel::submit_to(net::NodeId member,
-                               const net::MessagePtr& payload) {
-  return submit_to_impl(member, payload, nullptr);
-}
-
-SimDuration Channel::submit_to(net::NodeId member,
                                const net::MessagePtr& payload,
                                net::TraceContext trace) {
-  telemetry::Registry& tm = node_.host().telemetry();
-  if (!tm.trace_enabled() || !trace.valid()) {
-    return submit_to_impl(member, payload, nullptr);
-  }
-  const std::int64_t now_ns = node_.host().engine().now().ns();
-  tm.record_hop(telemetry::Hop{
-      trace.trace_id, trace.origin, id_, telemetry::HopStage::kSubmit, now_ns,
-      now_ns - trace.prev_hop_ns});
-  trace.hop = static_cast<std::uint8_t>(telemetry::HopStage::kSubmit);
-  trace.prev_hop_ns = now_ns;
-  return submit_to_impl(member, payload, &trace);
-}
-
-SimDuration Channel::submit_to_impl(net::NodeId member,
-                                    const net::MessagePtr& payload,
-                                    const net::TraceContext* trace) {
+  const net::TraceContext* const stamped = stamp_submit(trace);
   ++submitted_;
   const Member* target = nullptr;
   for (const Member& m : members_) {
@@ -151,7 +125,7 @@ SimDuration Channel::submit_to_impl(net::NodeId member,
   const KechoCosts& costs = node_.costs();
   const SimTime now = node_.host().engine().now();
   const net::MessagePtr frame =
-      encode_event(id_, node_.nic().node(), now, payload, trace);
+      encode_event(id_, node_.nic().node(), now, payload, stamped);
   if (transport_ == ChannelTransport::kDatagram) {
     node_.nic().send_datagram(target->node, Node::kDatagramEventPort, frame,
                               Node::kDatagramEventPort);
@@ -175,27 +149,9 @@ SimDuration Channel::submit_to_impl(net::NodeId member,
   return cost;
 }
 
-SimDuration Channel::submit_to_each(const PayloadSelector& select) {
-  return submit_each_impl(select, nullptr);
-}
-
 SimDuration Channel::submit_to_each(const PayloadSelector& select,
                                     net::TraceContext trace) {
-  telemetry::Registry& tm = node_.host().telemetry();
-  if (!tm.trace_enabled() || !trace.valid()) {
-    return submit_each_impl(select, nullptr);
-  }
-  const std::int64_t now_ns = node_.host().engine().now().ns();
-  tm.record_hop(telemetry::Hop{
-      trace.trace_id, trace.origin, id_, telemetry::HopStage::kSubmit, now_ns,
-      now_ns - trace.prev_hop_ns});
-  trace.hop = static_cast<std::uint8_t>(telemetry::HopStage::kSubmit);
-  trace.prev_hop_ns = now_ns;
-  return submit_each_impl(select, &trace);
-}
-
-SimDuration Channel::submit_each_impl(const PayloadSelector& select,
-                                      const net::TraceContext* trace) {
+  const net::TraceContext* const stamped = stamp_submit(trace);
   ++submitted_;
   const KechoCosts& costs = node_.costs();
   const SimTime now = node_.host().engine().now();
@@ -216,7 +172,7 @@ SimDuration Channel::submit_each_impl(const PayloadSelector& select,
       }
     }
     if (frame == nullptr) {
-      frame = encode_event(id_, node_.nic().node(), now, payload, trace);
+      frame = encode_event(id_, node_.nic().node(), now, payload, stamped);
       frames.emplace_back(payload.get(), frame);
     }
     if (transport_ == ChannelTransport::kDatagram) {

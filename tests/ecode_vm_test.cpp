@@ -396,7 +396,7 @@ TEST(Vm, SampleOperandAsJumpConditionIsInvalidArgument) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
-// --- dispatch tiers and limits ----------------------------------------------
+// --- limits and pooling -----------------------------------------------------
 
 TEST(Vm, ConstructorClampsInstructionLimitToHardCeiling) {
   // The fuel counter is only checked at control-flow edges; a limit near
@@ -405,26 +405,6 @@ TEST(Vm, ConstructorClampsInstructionLimitToHardCeiling) {
   EXPECT_EQ(vm.limits().max_instructions, VmLimits::kMaxInstructionLimit);
   Vm sane{VmLimits{.max_instructions = 500}};
   EXPECT_EQ(sane.limits().max_instructions, 500u);
-}
-
-TEST(Vm, DispatchTiersGiveIdenticalResults) {
-  auto filter = Filter::compile(
-      "int s = 0; for (int i = 0; i < 100; ++i) s += i * i; return s;");
-  ASSERT_TRUE(filter.is_ok());
-  Vm vm_switch;
-  vm_switch.set_dispatch(VmDispatch::kSwitch);
-  FilterResult via_switch;
-  ASSERT_TRUE(vm_switch.run(filter.value().bytecode(), {}, via_switch));
-  if (Vm::threaded_available()) {
-    Vm vm_threaded;
-    vm_threaded.set_dispatch(VmDispatch::kThreaded);
-    EXPECT_EQ(vm_threaded.dispatch(), VmDispatch::kThreaded);
-    FilterResult via_threaded;
-    ASSERT_TRUE(vm_threaded.run(filter.value().bytecode(), {}, via_threaded));
-    EXPECT_EQ(via_switch.return_value, via_threaded.return_value);
-    EXPECT_EQ(via_switch.instructions_executed,
-              via_threaded.instructions_executed);
-  }
 }
 
 TEST(Vm, PooledEvalMatchesDirectRun) {

@@ -1,11 +1,10 @@
-// Tests for the extension subsystems: battery/power monitoring, the
-// history recorder, cluster aggregation, the QoS manager, and fault
-// injection (the paper's peer-to-peer fault-tolerance claim).
+// Tests for the extension subsystems: battery/power monitoring, cluster
+// aggregation, the QoS manager, and fault injection (the paper's
+// peer-to-peer fault-tolerance claim).
 #include <gtest/gtest.h>
 
 #include "dproc/core/aggregate.hpp"
 #include "dproc/core/cluster.hpp"
-#include "dproc/core/history.hpp"
 #include "dproc/host/battery.hpp"
 #include "dproc/qos/manager.hpp"
 #include "dproc/workload/linpack.hpp"
@@ -101,80 +100,6 @@ TEST(BatteryMonitorTest, PublishesPowerMetricsClusterWide) {
   auto watts = cluster.procfs(1).read("/proc/power/watts");
   ASSERT_TRUE(watts.is_ok());
   EXPECT_GT(std::stod(watts.value()), 0.0);
-}
-
-// --- history recorder --------------------------------------------------------
-
-class HistoryTest : public ::testing::Test {
- protected:
-  HistoryTest() {
-    core::ClusterConfig config;
-    config.node_count = 2;
-    cluster = std::make_unique<core::Cluster>(engine, config);
-    recorder = std::make_unique<core::HistoryRecorder>(
-        *cluster->dmon(0), cluster->procfs(0), 16);
-    cluster->start_dproc();
-  }
-  void run_for(double sec) { engine.run_until(engine.now() + seconds(sec)); }
-
-  sim::Engine engine;
-  std::unique_ptr<core::Cluster> cluster;
-  std::unique_ptr<core::HistoryRecorder> recorder;
-};
-
-TEST_F(HistoryTest, RecordsOneSamplePerPoll) {
-  run_for(5.5);
-  const auto id = cluster->dmon(0)->metric_id("freemem");
-  ASSERT_TRUE(id.has_value());
-  const auto history = recorder->history(*id);
-  EXPECT_EQ(history.size(), 5u);
-  for (std::size_t i = 1; i < history.size(); ++i) {
-    EXPECT_GT(history[i].at.ns(), history[i - 1].at.ns());
-  }
-}
-
-TEST_F(HistoryTest, DepthBoundsRetention) {
-  run_for(30.5);
-  const auto id = cluster->dmon(0)->metric_id("loadavg");
-  EXPECT_EQ(recorder->history(*id).size(), 16u);  // depth cap
-}
-
-TEST_F(HistoryTest, HistoryVisibleInProcfs) {
-  run_for(3.5);
-  auto content = cluster->procfs(0).read("/proc/history/loadavg");
-  ASSERT_TRUE(content.is_ok());
-  // One "time value" line per poll.
-  EXPECT_EQ(std::count(content.value().begin(), content.value().end(), '\n'),
-            3);
-}
-
-TEST_F(HistoryTest, TraceExportImportRoundTrip) {
-  run_for(10.5);
-  const auto bytes = recorder->export_trace();
-  auto imported = core::HistoryRecorder::import_trace(bytes);
-  ASSERT_TRUE(imported.is_ok());
-  const auto id = cluster->dmon(0)->metric_id("freemem");
-  const auto original = recorder->history(*id);
-  bool found = false;
-  for (const auto& [metric, series] : imported.value()) {
-    if (metric != *id) continue;
-    found = true;
-    ASSERT_EQ(series.size(), original.size());
-    for (std::size_t i = 0; i < series.size(); ++i) {
-      EXPECT_EQ(series[i].at.ns(), original[i].at.ns());
-      EXPECT_DOUBLE_EQ(series[i].value, original[i].value);
-    }
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST_F(HistoryTest, CorruptTraceRejected) {
-  run_for(2.5);
-  auto bytes = recorder->export_trace();
-  bytes.resize(bytes.size() / 2);
-  EXPECT_FALSE(core::HistoryRecorder::import_trace(bytes).is_ok());
-  std::vector<std::uint8_t> garbage{1, 2, 3, 4};
-  EXPECT_FALSE(core::HistoryRecorder::import_trace(garbage).is_ok());
 }
 
 // --- aggregation ------------------------------------------------------------
@@ -392,29 +317,6 @@ TEST(ClusterConfigTest, CustomModuleFactoryReplacesStandardSet) {
   EXPECT_EQ(cluster.dmon(0)->metric_table().size(), 2u);
   EXPECT_FALSE(cluster.dmon(0)->metric_id("loadavg").has_value());
   EXPECT_TRUE(cluster.dmon(0)->metric_id("only0").has_value());
-}
-
-// --- history with late module registration ----------------------------------
-
-TEST(HistoryLateModules, RecorderGrowsWithNewMetrics) {
-  sim::Engine engine;
-  core::ClusterConfig config;
-  config.node_count = 2;
-  core::Cluster cluster{engine, config};
-  core::HistoryRecorder recorder{*cluster.dmon(0), cluster.procfs(0), 8};
-  cluster.start_dproc();
-  engine.run_until(SimTime{} + seconds(2.5));
-
-  // A module registered after the recorder: its samples must be captured
-  // from the next poll on (without a procfs history file, documented).
-  cluster.dmon(0)->register_module(std::make_unique<core::SyntheticMonitor>(
-      "late", 1, [](std::size_t, SimTime now) { return now.sec(); }));
-  const auto id = cluster.dmon(0)->metric_id("late0");
-  ASSERT_TRUE(id.has_value());
-  engine.run_until(SimTime{} + seconds(6.5));
-  const auto series = recorder.history(*id);
-  ASSERT_GE(series.size(), 3u);
-  EXPECT_GT(series.back().value, series.front().value);
 }
 
 // --- fault tolerance ----------------------------------------------------------

@@ -8,7 +8,6 @@
 
 #include "dproc/core/cluster.hpp"
 #include "dproc/core/sketch.hpp"
-#include "dproc/core/history.hpp"
 #include "dproc/core/incident.hpp"
 #include "dproc/core/tuning.hpp"
 #include "dproc/ecode/ecode.hpp"
@@ -135,38 +134,6 @@ TEST(FuzzCodec, TuningDecoderRejectsBitFlips) {
     if (decoded.is_ok() && decoded.value().filter_source) {
       EXPECT_LE(decoded.value().filter_source->size(), corrupted.size());
     }
-  }
-}
-
-TEST(FuzzCodec, HistoryTraceDecoderRejectsBitFlips) {
-  Rng rng{0x7ACE};
-  std::vector<std::uint8_t> bytes;
-  {
-    // A hand-built valid trace: magic + one series.
-    net::ByteWriter w;
-    w.u32(0x44504854);
-    w.u32(1);
-    w.u32(0);
-    w.u32(2);
-    w.i64(1'000'000);
-    w.f64(1.5);
-    w.i64(2'000'000);
-    w.f64(2.5);
-    bytes = w.take();
-  }
-  ASSERT_TRUE(core::HistoryRecorder::import_trace(bytes).is_ok());
-  for (int trial = 0; trial < 500; ++trial) {
-    auto corrupted = bytes;
-    if (rng.bernoulli(0.5)) {
-      corrupted.resize(static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(corrupted.size()))));
-    }
-    if (!corrupted.empty()) {
-      const auto at = static_cast<std::size_t>(rng.uniform_int(
-          0, static_cast<std::int64_t>(corrupted.size()) - 1));
-      corrupted[at] ^= 0x5A;
-    }
-    (void)core::HistoryRecorder::import_trace(corrupted);
   }
 }
 
@@ -799,40 +766,47 @@ TEST(FuzzFlight, ParseBundlesRandomBytesNeverCrash) {
   }
 }
 
-// --- differential VM dispatch fuzz ------------------------------------------
+// --- warm-vs-fresh VM fuzz -------------------------------------------------
 //
-// The threaded and switch interpreters are one handler body compiled twice
-// (vm_dispatch.inc); any divergence is a bug in the dispatch plumbing. Every
-// generated program runs through both tiers and must agree byte-for-byte on
-// status (code and message), outputs, return value, and fuel — including the
-// error paths (division by zero, fuel exhaustion).
+// A Vm reuses its operand stack, locals and output slots across runs, and a
+// caller-owned FilterResult is refilled in place. Every generated program
+// runs on a fresh Vm into a fresh result and on one long-lived Vm (into one
+// long-lived result) that has already run every earlier program, including
+// the ones that failed part-way. The two runs must agree on status (code
+// and message), outputs, return value and fuel; any difference is state
+// leaking from one run into the next.
 
-void expect_tiers_agree(const ecode::Bytecode& code,
-                        std::span<const ecode::Sample> input,
-                        ecode::VmLimits limits, ecode::SketchHost* host_switch,
-                        ecode::SketchHost* host_threaded,
-                        const std::string& source) {
-  ecode::Vm vm_switch{limits};
-  ecode::Vm vm_threaded{limits};
-  vm_switch.set_dispatch(ecode::VmDispatch::kSwitch);
-  vm_threaded.set_dispatch(ecode::VmDispatch::kThreaded);
-  vm_switch.set_sketch_host(host_switch);
-  vm_threaded.set_sketch_host(host_threaded);
-  ecode::FilterResult a;
-  ecode::FilterResult b;
-  const Status sa = vm_switch.run(code, input, a);
-  const Status sb = vm_threaded.run(code, input, b);
-  ASSERT_EQ(sa.code(), sb.code()) << source << "\nswitch: " << sa.to_string()
-                                  << "\nthreaded: " << sb.to_string();
-  EXPECT_EQ(sa.message(), sb.message()) << source;
-  if (sa && sb) {
-    EXPECT_EQ(a.outputs, b.outputs) << source;
-    ASSERT_EQ(a.return_value.has_value(), b.return_value.has_value()) << source;
-    if (a.return_value) {
-      EXPECT_DOUBLE_EQ(*a.return_value, *b.return_value) << source;
+/// Returns whether the fresh run failed, so callers can count error paths.
+bool expect_warm_matches_fresh(ecode::Vm& warm,
+                               ecode::FilterResult& warm_result,
+                               const ecode::Bytecode& code,
+                               std::span<const ecode::Sample> input,
+                               ecode::SketchHost* host_fresh,
+                               ecode::SketchHost* host_warm,
+                               const std::string& source) {
+  ecode::Vm fresh{warm.limits()};
+  fresh.set_sketch_host(host_fresh);
+  warm.set_sketch_host(host_warm);
+  ecode::FilterResult fresh_result;
+  const Status sf = fresh.run(code, input, fresh_result);
+  const Status sw = warm.run(code, input, warm_result);
+  EXPECT_EQ(sf.code(), sw.code()) << source << "\nfresh: " << sf.to_string()
+                                  << "\nwarm: " << sw.to_string();
+  EXPECT_EQ(sf.message(), sw.message()) << source;
+  if (sf && sw) {
+    EXPECT_EQ(fresh_result.outputs, warm_result.outputs) << source;
+    EXPECT_EQ(fresh_result.return_value.has_value(),
+              warm_result.return_value.has_value())
+        << source;
+    if (fresh_result.return_value && warm_result.return_value) {
+      EXPECT_DOUBLE_EQ(*fresh_result.return_value, *warm_result.return_value)
+          << source;
     }
-    EXPECT_EQ(a.instructions_executed, b.instructions_executed) << source;
+    EXPECT_EQ(fresh_result.instructions_executed,
+              warm_result.instructions_executed)
+        << source;
   }
+  return !sf;
 }
 
 std::string random_vm_program(Rng& rng, std::size_t input_count) {
@@ -892,42 +866,37 @@ std::string random_vm_program(Rng& rng, std::size_t input_count) {
   return source.str();
 }
 
-TEST(FuzzVmDispatch, ThreadedAndSwitchTiersAgreeOnRandomPrograms) {
-  if (!ecode::Vm::threaded_available()) {
-    GTEST_SKIP() << "build has no threaded dispatch tier";
-  }
+TEST(FuzzVmReuse, WarmVmMatchesFreshVmOnRandomPrograms) {
   Rng rng{0xD1FF};
   std::vector<ecode::Sample> input;
   for (int i = 0; i < 4; ++i) {
     input.push_back(ecode::Sample{i, rng.uniform(-100.0, 100.0),
                                   rng.uniform(0.0, 50.0), 1'000 * (i + 1)});
   }
+  // Every program runs under the default limits and under a tight fuel
+  // limit that forces the exhaustion path; each limit has its own warm Vm.
+  ecode::Vm warm{};
+  ecode::Vm warm_tight{ecode::VmLimits{.max_instructions = 40}};
+  ecode::FilterResult warm_result;
+  ecode::FilterResult warm_tight_result;
   int error_paths = 0;
   for (int trial = 0; trial < 400; ++trial) {
     const std::string source = random_vm_program(rng, input.size());
     auto filter = ecode::Filter::compile(source);
     ASSERT_TRUE(filter.is_ok()) << filter.status().to_string() << "\n"
                                 << source;
-    // Tight limits on some trials force the fuel-exhaustion path through
-    // both tiers; count errors to prove both paths actually run.
-    ecode::VmLimits limits;
-    if (trial % 5 == 0) limits.max_instructions = 40;
-    ecode::Vm probe{limits};
-    probe.set_dispatch(ecode::VmDispatch::kSwitch);
-    ecode::FilterResult scratch;
-    if (!probe.run(filter.value().bytecode(), input, scratch)) ++error_paths;
-    expect_tiers_agree(filter.value().bytecode(), input, limits, nullptr,
-                       nullptr, source);
+    const ecode::Bytecode& code = filter.value().bytecode();
+    error_paths += expect_warm_matches_fresh(warm, warm_result, code, input,
+                                             nullptr, nullptr, source);
+    error_paths += expect_warm_matches_fresh(
+        warm_tight, warm_tight_result, code, input, nullptr, nullptr, source);
   }
   EXPECT_GT(error_paths, 0);  // the harness exercises the error paths too
 }
 
-TEST(FuzzVmDispatch, TiersAgreeOnSketchBuiltins) {
-  if (!ecode::Vm::threaded_available()) {
-    GTEST_SKIP() << "build has no threaded dispatch tier";
-  }
-  // Two structurally identical sketch stacks, one per tier, so skmerge's
-  // mutation cannot leak between the runs under comparison.
+TEST(FuzzVmReuse, WarmVmMatchesFreshVmOnSketchBuiltins) {
+  // Two structurally identical sketch stacks per trial, one per Vm, so
+  // skmerge's mutation cannot leak between the runs under comparison.
   auto build_stack = [](core::TopKSketch& primary, core::TopKSketch& aux) {
     Rng feed{0x5EED};
     for (int i = 0; i < 4'000; ++i) {
@@ -937,6 +906,8 @@ TEST(FuzzVmDispatch, TiersAgreeOnSketchBuiltins) {
     primary.refresh_top(8);
   };
   Rng rng{0x5ED1};
+  ecode::Vm warm{};
+  ecode::FilterResult warm_result;
   for (int trial = 0; trial < 100; ++trial) {
     core::TopKSketch primary_a, aux_a, primary_b, aux_b;
     build_stack(primary_a, aux_a);
@@ -972,8 +943,9 @@ TEST(FuzzVmDispatch, TiersAgreeOnSketchBuiltins) {
     auto filter = ecode::Filter::compile(source.str(), env);
     ASSERT_TRUE(filter.is_ok()) << filter.status().to_string() << "\n"
                                 << source.str();
-    expect_tiers_agree(filter.value().bytecode(), {}, ecode::VmLimits{},
-                       &host_a, &host_b, source.str());
+    (void)expect_warm_matches_fresh(warm, warm_result,
+                                    filter.value().bytecode(), {}, &host_a,
+                                    &host_b, source.str());
   }
 }
 

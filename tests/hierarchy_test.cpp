@@ -9,6 +9,8 @@
 //    every live node, plus /proc/cluster/rollup and zone files;
 //  * drill-down pulls one node's raw feed through the tree without
 //    flattening its zone;
+//  * with the health engine on, a fault-free overlay scores 100 on every
+//    node: only feeds routed to a node enter its stale census;
 //  * crashing an acting aggregator mid-period converges to the next
 //    candidate, keeps counts duplicate-free, and keeps an active
 //    drill-down alive across the handoff.
@@ -249,6 +251,44 @@ TEST(HierarchyOverlay, DrillDownPullsOneRawFeedWithoutFlattening) {
   EXPECT_EQ(cluster.dmon(5)->remote_metric(n13, "loadavg")->received_at,
             stopped_at)
       << "feed kept flowing after the drill-down was disabled";
+}
+
+TEST(HierarchyOverlay, HealthCensusCountsOnlyRoutedFeeds) {
+  // Under the hierarchy a leaf's members feed only their acting aggregator,
+  // so a plain leaf never hears its declared zone mates. With no faults,
+  // every node must still score 100: only the acting aggregators (nodes 0,
+  // 4, 8, 12) count their zone mates, and a requester counts its drill
+  // target.
+  sim::Engine engine;
+  ClusterConfig config;
+  config.node_count = 16;
+  config.hierarchy = hier(4, 4);
+  config.health.enabled = true;
+  Cluster cluster{engine, config};
+  cluster.start_dproc();
+  engine.run_until(at(20.0));
+  ASSERT_TRUE(cluster.procfs(6).write("/proc/dproc/drilldown", "13").is_ok());
+  engine.run_until(at(40.0));
+
+  const auto health_file = [&](std::size_t node) {
+    auto text = cluster.procfs(node).read("/proc/dproc/health");
+    return text.is_ok() ? text.value() : text.status().to_string();
+  };
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    const HealthEngine* health = cluster.dmon(i)->health_engine();
+    ASSERT_NE(health, nullptr);
+    EXPECT_EQ(health->score(), 100.0) << "node " << i << ":\n"
+                                      << health_file(i);
+  }
+  const auto census = [&](std::size_t node) {
+    const std::string body = health_file(node);
+    const auto from = body.find("peers total");
+    if (from == std::string::npos) return body;
+    return body.substr(from, body.find('\n', from) - from);
+  };
+  EXPECT_EQ(census(4), "peers total 3 stale 0 dead 0");  // acting aggregator
+  EXPECT_EQ(census(5), "peers total 0 stale 0 dead 0");  // plain leaf
+  EXPECT_EQ(census(6), "peers total 1 stale 0 dead 0");  // drill requester
 }
 
 // ---------------------------------------------------------------------------

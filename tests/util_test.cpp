@@ -3,7 +3,6 @@
 #include <cmath>
 #include <set>
 
-#include "dproc/util/ring_buffer.hpp"
 #include "dproc/util/rng.hpp"
 #include "dproc/util/stats.hpp"
 #include "dproc/util/status.hpp"
@@ -246,51 +245,6 @@ TEST(Histogram, BucketsAndOverflow) {
   EXPECT_EQ(h.overflow(), 1u);
   for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(h.bucket(i), 1u);
   EXPECT_FALSE(h.summary().empty());
-}
-
-// --- ring buffer --------------------------------------------------------
-
-TEST(RingBuffer, PushAndIndexOldestFirst) {
-  RingBuffer<int> ring{3};
-  ring.push(1);
-  ring.push(2);
-  EXPECT_EQ(ring.size(), 2u);
-  EXPECT_EQ(ring.front(), 1);
-  EXPECT_EQ(ring.back(), 2);
-}
-
-TEST(RingBuffer, OverwritesOldestWhenFull) {
-  RingBuffer<int> ring{3};
-  for (int i = 1; i <= 5; ++i) ring.push(i);
-  EXPECT_TRUE(ring.full());
-  EXPECT_EQ(ring.front(), 3);
-  EXPECT_EQ(ring.back(), 5);
-  EXPECT_EQ(ring.at(1), 4);
-}
-
-TEST(RingBuffer, AtOutOfRangeThrows) {
-  RingBuffer<int> ring{2};
-  ring.push(1);
-  EXPECT_THROW(ring.at(1), std::out_of_range);
-}
-
-TEST(RingBuffer, ZeroCapacityRejected) {
-  EXPECT_THROW(RingBuffer<int>{0}, std::invalid_argument);
-}
-
-TEST(RingBuffer, ForEachVisitsInOrder) {
-  RingBuffer<int> ring{4};
-  for (int i = 0; i < 6; ++i) ring.push(i);
-  std::vector<int> seen;
-  ring.for_each([&](int v) { seen.push_back(v); });
-  EXPECT_EQ(seen, (std::vector<int>{2, 3, 4, 5}));
-}
-
-TEST(RingBuffer, Clear) {
-  RingBuffer<int> ring{2};
-  ring.push(1);
-  ring.clear();
-  EXPECT_TRUE(ring.empty());
 }
 
 // --- status / result ----------------------------------------------------
