@@ -17,6 +17,7 @@
 
 #include "dproc/net/packet.hpp"
 #include "dproc/sim/engine.hpp"
+#include "dproc/util/fifo.hpp"
 #include "dproc/util/rng.hpp"
 #include "dproc/util/time.hpp"
 
@@ -56,10 +57,10 @@ class Link {
 
   /// Attempts to enqueue; returns the drop cause (kNone == accepted:
   /// kLinkDown when partitioned, kBufferFull on tail drop, kLoss on an
-  /// injected loss hit). `on_exit` fires when the packet has fully
-  /// traversed the link.
-  DropCause transmit(const Packet& packet,
-                     std::function<void(const Packet&)> on_exit);
+  /// injected loss hit). On acceptance `exit_time` is set to when the
+  /// packet has fully traversed the link. Exit times strictly increase, so
+  /// the link delivers in admission order.
+  DropCause transmit(const Packet& packet, SimTime& exit_time);
 
   /// Bytes currently waiting or in flight on the serializer.
   [[nodiscard]] std::uint64_t backlog_bytes() const;
@@ -132,9 +133,9 @@ class Fabric {
       const std::vector<NodeId>& nodes, const LinkConfig& config);
 
   /// Injects a packet; it traverses the route's links in order. If any hop
-  /// drops it, `on_drop` (optional) fires and traversal ends. Delivery
-  /// invokes the handler registered by the destination NIC.
-  void send(Packet packet, std::function<void(const Packet&)> on_drop = {});
+  /// drops it, traversal ends (the trace hook sees a kDrop with the cause).
+  /// Delivery invokes the handler registered by the destination NIC.
+  void send(Packet packet);
 
   /// The destination-side delivery hook; installed by Nic.
   using DeliveryHandler = std::function<void(const Packet&)>;
@@ -177,18 +178,33 @@ class Fabric {
   [[nodiscard]] const FabricStats& stats() const { return stats_; }
 
  private:
-  void forward(Packet packet, const std::vector<LinkId>& route,
-               std::size_t hop, std::function<void(const Packet&)> on_drop);
-  /// Star-topology forwarding without a route table: hop 0 = sender's
-  /// uplink, hop 1 = destination's downlink, hop 2 = delivery.
-  void forward_star(Packet packet, std::size_t hop,
-                    std::function<void(const Packet&)> on_drop);
+  /// A packet on a link, with the rest of its way: the explicit route, or
+  /// null for the implicit star route (hop 0 = sender's uplink, hop 1 =
+  /// destination's downlink).
+  struct InFlight {
+    Packet packet;
+    const std::vector<LinkId>* route = nullptr;
+    std::uint32_t hop = 0;
+  };
+
+  /// Offers the packet to hop `hop` of its route, or delivers it once the
+  /// route is exhausted.
+  void forward(Packet packet, const std::vector<LinkId>* route,
+               std::uint32_t hop);
+  /// Exit event of link `id`: the front of its in-flight FIFO moves on.
+  void link_exit(LinkId id);
   void deliver(const Packet& packet);
   void count_drop(DropCause cause);
 
   sim::Engine& engine_;
   std::vector<std::string> node_names_;
   std::vector<std::unique_ptr<Link>> links_;
+  /// Per-link packets between admission and exit, in exit order. Each
+  /// exit event pops its link's front, so the event itself captures only
+  /// the link id.
+  std::vector<Fifo<InFlight>> in_flight_;
+  /// Loopback packets, all delayed by the same constant, so also FIFO.
+  Fifo<Packet> loopback_;
   std::map<std::pair<NodeId, NodeId>, std::vector<LinkId>> routes_;
   /// Implicit star routing (build_star): per-node (uplink, downlink) port
   /// pairs, indexed by NodeId. Empty when no star was built.

@@ -13,13 +13,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 
 #include "dproc/net/nic.hpp"
 #include "dproc/net/packet.hpp"
+#include "dproc/util/fifo.hpp"
 #include "dproc/util/stats.hpp"
 #include "dproc/util/time.hpp"
 
@@ -100,8 +100,12 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   void start_handshake(std::function<void()> on_established);
   void become_established();
 
+  struct Segment;
+  /// The unacknowledged segment starting at byte `seq`, or null.
+  Segment* find_segment(std::uint64_t seq);
+
   void try_transmit();
-  void send_segment(std::uint64_t seq);
+  void send_segment(Segment& seg);
   void send_ack();
   void on_data(const Packet& packet);
   void on_ack_packet(const Packet& packet);
@@ -128,9 +132,10 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
 
   // --- sender state ---
   struct Segment {
-    std::uint32_t length;
-    MessagePtr message_end;  // set when this segment carries a message tail
+    std::uint64_t seq = 0;  // first byte offset
+    std::uint32_t length = 0;
     std::uint32_t transmit_count = 0;
+    MessagePtr message_end;  // set when this segment carries a message tail
   };
   std::uint64_t snd_una_ = 0;   // oldest unacknowledged byte
   std::uint64_t snd_next_ = 0;  // first never-segmented byte
@@ -141,8 +146,10 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   // Recovery guard (NewReno-flavoured): dup-ack bursts that belong to one
   // loss event must not trigger repeated window collapses.
   std::uint64_t recover_ = 0;
-  std::map<std::uint64_t, Segment> unacked_;  // keyed by first byte offset
-  std::deque<MessagePtr> pending_messages_;
+  // Segmented-but-unacknowledged bytes: contiguous segments from snd_una_
+  // to snd_next_, ordered by first byte.
+  Fifo<Segment> unacked_;
+  Fifo<MessagePtr> pending_messages_;
   std::uint64_t pending_bytes_ = 0;
   std::uint64_t head_offset_ = 0;  // bytes of head pending message segmented
   double cwnd_;

@@ -6,17 +6,21 @@
 // the same seed and the same program produce the same trace, a property the
 // test suite asserts.
 //
-// The scheduling hot path is allocation-lean: the queue is a vector-backed
-// binary heap whose storage is reused across the run (pop moves the node
-// out instead of copying its std::function), and the shared cancellation
-// flag behind EventHandle is only allocated when a caller actually keeps a
-// handle — fire-and-forget scheduling, the overwhelmingly common case,
-// allocates no flag at all (see PendingEvent).
+// Scheduling is allocation-free once the engine is warm. Each pending event
+// occupies a slot in a slab of callback slots (recycled through a free
+// list); the run queue is a binary heap of plain (when, seq, slot) keys.
+// Callbacks are stored inline in their slot (EventCallback), and an
+// EventHandle is just (engine, slot, generation): firing or dropping an
+// event bumps its slot's generation, so a stale handle — the event fired,
+// or the slot now holds another event — cancels nothing. A periodic timer
+// keeps one slot for its whole life and re-queues it after every tick.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -24,86 +28,141 @@
 
 namespace dproc::sim {
 
-/// Cancellation handle for a scheduled event. Copyable; cancelling any copy
-/// cancels the event. A default-constructed handle is inert.
+class Engine;
+
+/// Move-only void() callable with inline storage. Any callable whose
+/// captures fit in kInlineBytes (a `this` plus an id, a shared_ptr, a
+/// std::function) is stored in place; larger ones fall back to one heap
+/// allocation, as std::function would.
+class EventCallback {
+ public:
+  static constexpr std::size_t kInlineBytes = 48;
+
+  EventCallback() = default;
+
+  template <typename F, typename Fn = std::decay_t<F>,
+            typename = std::enable_if_t<!std::is_same_v<Fn, EventCallback>>>
+  EventCallback(F&& fn) {  // NOLINT: implicit by design
+    if constexpr (kFitsInline<Fn>) {
+      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
+      ops_ = &kInlineOps<Fn>;
+    } else {
+      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(fn)));
+      ops_ = &kHeapOps<Fn>;
+    }
+  }
+
+  EventCallback(EventCallback&& other) noexcept { take(other); }
+  EventCallback& operator=(EventCallback&& other) noexcept {
+    if (this != &other) {
+      reset();
+      take(other);
+    }
+    return *this;
+  }
+  EventCallback(const EventCallback&) = delete;
+  EventCallback& operator=(const EventCallback&) = delete;
+  ~EventCallback() { reset(); }
+
+  void operator()() { ops_->invoke(storage_); }
+
+  /// Destroys the held callable. The object reads as empty before the
+  /// callable's destructor runs, so that destructor may re-enter its owner.
+  void reset() {
+    if (ops_ == nullptr) return;
+    const Ops* ops = ops_;
+    ops_ = nullptr;
+    ops->destroy(storage_);
+  }
+
+ private:
+  struct Ops {
+    void (*invoke)(void*);
+    void (*relocate)(void* dst, void* src) noexcept;  // move, destroy source
+    void (*destroy)(void*) noexcept;
+  };
+
+  template <typename Fn>
+  static constexpr bool kFitsInline =
+      sizeof(Fn) <= kInlineBytes &&
+      alignof(Fn) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<Fn>;
+
+  template <typename Fn>
+  static constexpr Ops kInlineOps = {
+      [](void* p) { (*static_cast<Fn*>(p))(); },
+      [](void* dst, void* src) noexcept {
+        ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));
+        static_cast<Fn*>(src)->~Fn();
+      },
+      [](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); }};
+
+  template <typename Fn>
+  static constexpr Ops kHeapOps = {
+      [](void* p) { (**static_cast<Fn**>(p))(); },
+      [](void* dst, void* src) noexcept {
+        ::new (dst) Fn*(*static_cast<Fn**>(src));
+      },
+      [](void* p) noexcept { delete *static_cast<Fn**>(p); }};
+
+  void take(EventCallback& other) noexcept {
+    if (other.ops_ == nullptr) return;
+    other.ops_->relocate(storage_, other.storage_);
+    ops_ = std::exchange(other.ops_, nullptr);
+  }
+
+  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
+  const Ops* ops_ = nullptr;
+};
+
+/// Cancellation handle for a scheduled event: the event's slot and the
+/// slot's generation when it was scheduled. Copyable; cancelling any copy
+/// cancels the event. Cancelling after the event fired (or was dropped) is
+/// a no-op, even if the slot has since been reused. A default-constructed
+/// handle is inert. A handle must not be cancelled after its engine is
+/// destroyed.
 class EventHandle {
  public:
   EventHandle() = default;
 
-  /// Prevents the event from firing. Idempotent; safe after the event fired.
-  void cancel() {
-    if (cancelled_) *cancelled_ = true;
-  }
-  [[nodiscard]] bool valid() const { return cancelled_ != nullptr; }
+  /// Prevents the event from firing (or a periodic timer from firing
+  /// again). Idempotent; safe after the event fired.
+  void cancel();
+
+  /// True once a handle was taken from the engine — whether or not the
+  /// event is still pending.
+  [[nodiscard]] bool valid() const { return engine_ != nullptr; }
 
  private:
   friend class Engine;
-  friend class PendingEvent;
-  explicit EventHandle(std::shared_ptr<bool> flag) : cancelled_(std::move(flag)) {}
-  std::shared_ptr<bool> cancelled_;
-};
-
-class Engine;
-
-/// Move-only token for a just-scheduled event, returned by schedule_at and
-/// schedule_after. Discarding it costs nothing; converting it to an
-/// EventHandle (the usual `handle_member_ = engine.schedule_after(...)`
-/// pattern) materializes the shared cancellation flag on the queued event
-/// at that moment. Convert or drop it before the engine outlives you; the
-/// token refers into the engine's live queue.
-class PendingEvent {
- public:
-  PendingEvent() = default;
-  PendingEvent(PendingEvent&& other) noexcept
-      : engine_(std::exchange(other.engine_, nullptr)),
-        seq_(other.seq_),
-        hint_(other.hint_) {}
-  PendingEvent& operator=(PendingEvent&& other) noexcept {
-    engine_ = std::exchange(other.engine_, nullptr);
-    seq_ = other.seq_;
-    hint_ = other.hint_;
-    return *this;
-  }
-  PendingEvent(const PendingEvent&) = delete;
-  PendingEvent& operator=(const PendingEvent&) = delete;
-
-  /// Materializes a cancellation handle for the event (allocating the
-  /// shared flag on first request; a no-op handle if it already fired).
-  [[nodiscard]] EventHandle handle();
-  operator EventHandle() { return handle(); }
-
-  /// Cancels the event directly.
-  void cancel() { handle().cancel(); }
-
- private:
-  friend class Engine;
-  PendingEvent(Engine* engine, std::uint64_t seq, std::size_t hint)
-      : engine_(engine), seq_(seq), hint_(hint) {}
+  EventHandle(Engine* engine, std::uint32_t slot, std::uint32_t generation)
+      : engine_(engine), slot_(slot), generation_(generation) {}
 
   Engine* engine_ = nullptr;
-  std::uint64_t seq_ = 0;
-  std::size_t hint_ = 0;  // heap position right after the push
+  std::uint32_t slot_ = 0;
+  std::uint32_t generation_ = 0;
 };
 
 class Engine {
  public:
-  using Callback = std::function<void()>;
+  using Callback = EventCallback;
 
   Engine() = default;
+  ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// Schedules `fn` at absolute time `when`; `when` must be >= now().
-  PendingEvent schedule_at(SimTime when, Callback fn);
+  EventHandle schedule_at(SimTime when, Callback fn);
 
   /// Schedules `fn` after `delay` (clamped to >= 0) from now.
-  PendingEvent schedule_after(SimDuration delay, Callback fn);
+  EventHandle schedule_after(SimDuration delay, Callback fn);
 
   /// Schedules `fn` every `period`, first firing after one period. The
-  /// callback keeps rescheduling itself until the handle is cancelled, so
-  /// periodic timers always materialize their flag — the chain needs it.
+  /// timer keeps firing until its handle is cancelled — from outside or
+  /// from inside `fn`.
   EventHandle schedule_periodic(SimDuration period, Callback fn);
 
   /// Runs events until the queue is empty or `deadline` is reached; the
@@ -118,54 +177,68 @@ class Engine {
   /// Processes a single event if one is pending; returns false when empty.
   bool step();
 
+  /// Queued events, including cancelled ones not yet reached (they are
+  /// dropped lazily when they come up).
   [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
   [[nodiscard]] std::uint64_t events_processed() const { return processed_; }
 
-  /// Number of cancellation flags allocated so far — one per event whose
-  /// handle was actually retained (plus one per periodic timer). The perf
-  /// regression test pins fire-and-forget scheduling to zero.
-  [[nodiscard]] std::uint64_t cancel_flags_allocated() const {
-    return flag_allocs_;
-  }
+  /// Always 0: cancellation is a generation check on the event's slot, so
+  /// no event allocates a flag. Kept because benchmark reports print it.
+  [[nodiscard]] std::uint64_t cancel_flags_allocated() const { return 0; }
 
  private:
-  friend class PendingEvent;
+  friend class EventHandle;
 
-  struct Scheduled {
-    SimTime when;
-    std::uint64_t seq;
-    // Null until an EventHandle is materialized for this event; the queue
-    // entry stays but is skipped at fire time if set.
-    std::shared_ptr<bool> cancelled;
+  struct Slot {
     Callback fn;
+    SimDuration period;  // > 0 for a periodic timer
+    std::uint32_t generation = 0;
+    std::uint32_t next_free = 0;
+    bool cancelled = false;
   };
 
-  // (when, seq) min-heap over heap_, maintained manually so pushes and
-  // pops move nodes instead of copying their std::function.
-  [[nodiscard]] bool before(const Scheduled& a, const Scheduled& b) const {
+  // Run-queue key: a min-heap on (when, seq); seq is unique, so the order
+  // is total and ties fire in scheduling order.
+  struct Key {
+    SimTime when;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+  static bool before(const Key& a, const Key& b) {
     if (a.when != b.when) return a.when < b.when;
     return a.seq < b.seq;
   }
-  std::size_t heap_push(Scheduled&& ev);
-  Scheduled heap_pop();
 
-  /// Finds the queued event `seq` (trying `hint` first) and returns a
-  /// handle sharing its flag — or a handle to a fresh dead-end flag if the
-  /// event already fired (cancelling is then a harmless no-op).
-  EventHandle materialize(std::uint64_t seq, std::size_t hint);
+  // Slots live in fixed-size chunks so a callback can run in place while
+  // the events it schedules grow the slab.
+  static constexpr std::uint32_t kChunkShift = 8;
+  static constexpr std::uint32_t kChunkMask = (1u << kChunkShift) - 1;
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
-  void fire(Scheduled&& ev);
+  Slot& slot(std::uint32_t i) {
+    return chunks_[i >> kChunkShift][i & kChunkMask];
+  }
+  std::uint32_t acquire_slot(Callback&& fn, SimDuration period);
+  /// Retires a slot whose event is done: stale handles stop matching, the
+  /// callback is destroyed, and the slot goes back on the free list.
+  void release_slot(std::uint32_t i);
+  void cancel(std::uint32_t i, std::uint32_t generation);
+
+  void push(SimTime when, std::uint32_t slot);
+  Key pop();
+  void fire(const Key& key);
 
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
-  std::uint64_t flag_allocs_ = 0;
-  std::vector<Scheduled> heap_;
+  std::vector<Key> heap_;
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t slot_count_ = 0;
+  std::uint32_t free_head_ = kNoSlot;
 };
 
-inline EventHandle PendingEvent::handle() {
-  if (engine_ == nullptr) return EventHandle{};
-  return engine_->materialize(seq_, hint_);
+inline void EventHandle::cancel() {
+  if (engine_ != nullptr) engine_->cancel(slot_, generation_);
 }
 
 }  // namespace dproc::sim

@@ -160,13 +160,16 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  void set_enabled(bool enabled) { enabled_ = enabled; }
+  /// Enabling sizes the span ring on first use, so a registry that is
+  /// never enabled never allocates it.
+  void set_enabled(bool enabled);
   [[nodiscard]] bool enabled() const { return enabled_; }
 
   /// Causal tracing is gated separately from the instrument flag, so a
   /// cluster can trace event provenance without the full metric overlay
   /// (and vice versa). Disabled it is branch-only, exactly like enabled_.
-  void set_trace_enabled(bool enabled) { trace_enabled_ = enabled; }
+  /// Enabling sizes the hop ring on first use, like set_enabled.
+  void set_trace_enabled(bool enabled);
   [[nodiscard]] bool trace_enabled() const { return trace_enabled_; }
 
   /// Get-or-create instruments; references stay valid for the registry's
@@ -210,7 +213,7 @@ class Registry {
   void record_span(const char* category, const char* name, SimTime start,
                    SimTime end);
   [[nodiscard]] std::size_t span_count() const { return span_size_; }
-  [[nodiscard]] std::size_t span_capacity() const { return spans_.size(); }
+  [[nodiscard]] std::size_t span_capacity() const { return span_capacity_; }
   [[nodiscard]] std::uint64_t spans_dropped() const { return spans_dropped_; }
   /// Span i counted from the oldest retained (0 == oldest).
   [[nodiscard]] const Span& span(std::size_t i) const;
@@ -220,10 +223,11 @@ class Registry {
 
   /// Appends one hop to the bounded hop log; overwrites the oldest entry
   /// when full (hops_dropped() counts the overwrites). No-op when tracing
-  /// is disabled; never allocates (the ring is pre-sized).
+  /// is disabled; never allocates (the ring is sized when tracing is
+  /// enabled).
   void record_hop(const Hop& hop);
   [[nodiscard]] std::size_t hop_count() const { return hop_size_; }
-  [[nodiscard]] std::size_t hop_capacity() const { return hops_.size(); }
+  [[nodiscard]] std::size_t hop_capacity() const { return hop_capacity_; }
   [[nodiscard]] std::uint64_t hops_dropped() const { return hops_dropped_; }
   /// Hop i counted from the oldest retained (0 == oldest).
   [[nodiscard]] const Hop& hop(std::size_t i) const;
@@ -274,12 +278,15 @@ class Registry {
   std::map<std::string, InstrumentId> gauge_ids_;
   std::map<std::string, InstrumentId> latency_ids_;
 
-  std::vector<Span> spans_;  // fixed-capacity ring
+  // Fixed-capacity rings, empty until their gate is first enabled.
+  std::size_t span_capacity_;
+  std::vector<Span> spans_;
   std::size_t span_head_ = 0;
   std::size_t span_size_ = 0;
   std::uint64_t spans_dropped_ = 0;
 
-  std::vector<Hop> hops_;  // fixed-capacity ring
+  std::size_t hop_capacity_;
+  std::vector<Hop> hops_;
   std::size_t hop_head_ = 0;
   std::size_t hop_size_ = 0;
   std::uint64_t hops_dropped_ = 0;

@@ -19,8 +19,7 @@ const char* to_string(DropCause cause) {
   return "?";
 }
 
-DropCause Link::transmit(const Packet& packet,
-                         std::function<void(const Packet&)> on_exit) {
+DropCause Link::transmit(const Packet& packet, SimTime& exit_time) {
   const std::uint64_t wire = packet.wire_bytes();
   // Evaluation order matters for determinism: the loss RNG must only be
   // consulted for packets that would otherwise be accepted, exactly as
@@ -45,11 +44,7 @@ DropCause Link::transmit(const Packet& packet,
   busy_until_ = start + serialize;
   ++stats_.packets_sent;
   stats_.bytes_sent += wire;
-
-  const SimTime exit_time = busy_until_ + config_.propagation;
-  engine_.schedule_at(exit_time, [packet, on_exit = std::move(on_exit)] {
-    on_exit(packet);
-  });
+  exit_time = busy_until_ + config_.propagation;
   return DropCause::kNone;
 }
 
@@ -77,6 +72,7 @@ bool Fabric::node_down(NodeId node) const { return node_down_.at(node); }
 LinkId Fabric::add_link(LinkConfig config) {
   const auto id = static_cast<LinkId>(links_.size());
   links_.push_back(std::make_unique<Link>(engine_, config));
+  in_flight_.emplace_back();
   return id;
 }
 
@@ -128,7 +124,7 @@ void Fabric::count_drop(DropCause cause) {
   }
 }
 
-void Fabric::send(Packet packet, std::function<void(const Packet&)> on_drop) {
+void Fabric::send(Packet packet) {
   ++stats_.packets_sent;
   if (trace_) trace_(TraceEvent::kSend, DropCause::kNone, packet, engine_.now());
   if (node_down_.at(packet.src)) {
@@ -136,31 +132,24 @@ void Fabric::send(Packet packet, std::function<void(const Packet&)> on_drop) {
     if (trace_) {
       trace_(TraceEvent::kDrop, DropCause::kNodeDown, packet, engine_.now());
     }
-    if (on_drop) on_drop(packet);
     return;
   }
   if (packet.src == packet.dst) {
     // Loopback: no link traversal, a small in-kernel delay, never dropped.
-    engine_.schedule_after(microseconds(1.0), [this, packet = std::move(packet)] {
-      if (trace_) {
-        trace_(TraceEvent::kDeliver, DropCause::kNone, packet, engine_.now());
-      }
-      ++stats_.packets_delivered;
-      delivered_bytes_.at(packet.dst) += packet.wire_bytes();
-      auto& handler = delivery_.at(packet.dst);
-      if (handler) handler(packet);
-    });
+    loopback_.push_back(std::move(packet));
+    engine_.schedule_after(microseconds(1.0),
+                           [this] { deliver(loopback_.pop_front()); });
     return;
   }
   auto it = routes_.find({packet.src, packet.dst});
   if (it != routes_.end()) {
-    forward(std::move(packet), it->second, 0, std::move(on_drop));
+    forward(std::move(packet), &it->second, 0);
     return;
   }
   if (packet.src < star_ports_.size() && packet.dst < star_ports_.size() &&
       star_ports_[packet.src].first != std::numeric_limits<LinkId>::max() &&
       star_ports_[packet.dst].second != std::numeric_limits<LinkId>::max()) {
-    forward_star(std::move(packet), 0, std::move(on_drop));
+    forward(std::move(packet), nullptr, 0);
     return;
   }
   throw std::logic_error{"Fabric::send: no route " + node_name(packet.src) +
@@ -182,9 +171,10 @@ void Fabric::deliver(const Packet& packet) {
   }
 }
 
-void Fabric::forward_star(Packet packet, std::size_t hop,
-                          std::function<void(const Packet&)> on_drop) {
-  if (hop == 2) {
+void Fabric::forward(Packet packet, const std::vector<LinkId>* route,
+                     std::uint32_t hop) {
+  const std::size_t hops = route != nullptr ? route->size() : 2;
+  if (hop == hops) {
     if (node_down_.at(packet.dst)) {
       count_drop(DropCause::kNodeDown);
       if (trace_) {
@@ -195,43 +185,27 @@ void Fabric::forward_star(Packet packet, std::size_t hop,
     deliver(packet);
     return;
   }
-  const LinkId id = hop == 0 ? star_ports_[packet.src].first
-                             : star_ports_[packet.dst].second;
-  Link& link = *links_.at(id);
-  const DropCause verdict =
-      link.transmit(packet, [this, hop, on_drop](const Packet& p) {
-        forward_star(p, hop + 1, on_drop);
-      });
+  LinkId id;
+  if (route != nullptr) {
+    id = (*route)[hop];
+  } else {
+    id = hop == 0 ? star_ports_[packet.src].first
+                  : star_ports_[packet.dst].second;
+  }
+  SimTime exit_time;
+  const DropCause verdict = links_.at(id)->transmit(packet, exit_time);
   if (verdict != DropCause::kNone) {
     count_drop(verdict);
     if (trace_) trace_(TraceEvent::kDrop, verdict, packet, engine_.now());
-    if (on_drop) on_drop(packet);
+    return;
   }
+  in_flight_[id].push_back(InFlight{std::move(packet), route, hop});
+  engine_.schedule_at(exit_time, [this, id] { link_exit(id); });
 }
 
-void Fabric::forward(Packet packet, const std::vector<LinkId>& route,
-                     std::size_t hop, std::function<void(const Packet&)> on_drop) {
-  if (hop == route.size()) {
-    if (node_down_.at(packet.dst)) {
-      count_drop(DropCause::kNodeDown);
-      if (trace_) {
-        trace_(TraceEvent::kDrop, DropCause::kNodeDown, packet, engine_.now());
-      }
-      return;  // vanished at the dead NIC
-    }
-    deliver(packet);
-    return;
-  }
-  Link& link = *links_.at(route[hop]);
-  const DropCause verdict = link.transmit(
-      packet, [this, &route, hop, on_drop](const Packet& p) {
-        forward(p, route, hop + 1, on_drop);
-      });
-  if (verdict != DropCause::kNone) {
-    count_drop(verdict);
-    if (trace_) trace_(TraceEvent::kDrop, verdict, packet, engine_.now());
-    if (on_drop) on_drop(packet);
-  }
+void Fabric::link_exit(LinkId id) {
+  InFlight next = in_flight_[id].pop_front();
+  forward(std::move(next.packet), next.route, next.hop + 1);
 }
 
 }  // namespace dproc::net

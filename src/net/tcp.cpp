@@ -86,6 +86,22 @@ void TcpConnection::send(MessagePtr message) {
   if (established_) try_transmit();
 }
 
+TcpConnection::Segment* TcpConnection::find_segment(std::uint64_t seq) {
+  // Segments tile [snd_una_, snd_next_) in order: binary search on seq.
+  std::size_t lo = 0;
+  std::size_t hi = unacked_.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (unacked_[mid].seq < seq) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  if (lo == unacked_.size() || unacked_[lo].seq != seq) return nullptr;
+  return &unacked_[lo];
+}
+
 void TcpConnection::try_transmit() {
   const auto cwnd_bytes = std::max<std::uint64_t>(
       static_cast<std::uint64_t>(cwnd_ * static_cast<double>(config_.mss)),
@@ -93,11 +109,11 @@ void TcpConnection::try_transmit() {
   while (true) {
     if (send_ptr_ < snd_next_) {
       // (Re)transmit the already-segmented byte stream from the cursor.
-      auto it = unacked_.find(send_ptr_);
-      if (it == unacked_.end()) break;  // should not happen; stay safe
-      const std::uint64_t end = send_ptr_ + it->second.length;
+      Segment* seg = find_segment(send_ptr_);
+      if (seg == nullptr) break;  // should not happen; stay safe
+      const std::uint64_t end = send_ptr_ + seg->length;
       if (end - snd_una_ > cwnd_bytes && send_ptr_ > snd_una_) break;
-      send_segment(send_ptr_);
+      send_segment(*seg);
       send_ptr_ = end;
       continue;
     }
@@ -116,9 +132,10 @@ void TcpConnection::try_transmit() {
     const bool is_tail = (head_offset_ + len == msg_size);
 
     Segment seg;
+    seg.seq = snd_next_;
     seg.length = len;
     if (is_tail) seg.message_end = head;
-    unacked_.emplace(snd_next_, std::move(seg));
+    unacked_.push_back(std::move(seg));
 
     snd_next_ += len;
     head_offset_ += len;
@@ -127,16 +144,14 @@ void TcpConnection::try_transmit() {
       pending_messages_.pop_front();
       head_offset_ = 0;
     }
-    send_segment(send_ptr_);
+    send_segment(unacked_.back());
     send_ptr_ = snd_next_;
   }
   if (snd_next_ > snd_una_ && !rto_event_.valid()) arm_rto();
 }
 
-void TcpConnection::send_segment(std::uint64_t seq) {
-  auto it = unacked_.find(seq);
-  if (it == unacked_.end()) return;
-  Segment& seg = it->second;
+void TcpConnection::send_segment(Segment& seg) {
+  const std::uint64_t seq = seg.seq;
   if (seg.transmit_count > 0) {
     ++counters_.retransmissions;
     if (probe_active_ && probe_end_seq_ > seq) probe_active_ = false;  // Karn
@@ -208,9 +223,9 @@ void TcpConnection::on_ack_packet(const Packet& packet) {
   const std::uint64_t ack = packet.ack;
   if (ack > snd_una_) {
     std::uint64_t acked_segments = 0;
-    while (!unacked_.empty() && unacked_.begin()->first < ack) {
+    while (!unacked_.empty() && unacked_.front().seq < ack) {
       ++acked_segments;
-      unacked_.erase(unacked_.begin());
+      unacked_.pop_front();
     }
     counters_.bytes_acked += ack - snd_una_;
     snd_una_ = ack;

@@ -148,8 +148,18 @@ const char* to_string(HopStage stage) {
 Registry::Registry(const sim::Engine* clock, std::size_t span_capacity,
                    std::size_t hop_capacity)
     : clock_(clock),
-      spans_(span_capacity == 0 ? 1 : span_capacity),
-      hops_(hop_capacity == 0 ? 1 : hop_capacity) {}
+      span_capacity_(span_capacity == 0 ? 1 : span_capacity),
+      hop_capacity_(hop_capacity == 0 ? 1 : hop_capacity) {}
+
+void Registry::set_enabled(bool enabled) {
+  if (enabled && spans_.empty()) spans_.resize(span_capacity_);
+  enabled_ = enabled;
+}
+
+void Registry::set_trace_enabled(bool enabled) {
+  if (enabled && hops_.empty()) hops_.resize(hop_capacity_);
+  trace_enabled_ = enabled;
+}
 
 Counter& Registry::counter(const std::string& subsystem,
                            const std::string& name) {
@@ -277,9 +287,9 @@ std::string Registry::render() const {
     }
     out << "\n";
   }
-  out << "spans " << span_size_ << "/" << spans_.size() << " dropped "
+  out << "spans " << span_size_ << "/" << span_capacity_ << " dropped "
       << spans_dropped_ << "\n";
-  out << "hops " << hop_size_ << "/" << hops_.size() << " dropped "
+  out << "hops " << hop_size_ << "/" << hop_capacity_ << " dropped "
       << hops_dropped_ << " tracing "
       << (trace_enabled_ ? "enabled" : "disabled") << "\n";
   return out.str();

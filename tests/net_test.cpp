@@ -112,12 +112,16 @@ TEST_F(FabricTest, TailDropWhenBufferFull) {
 
   int dropped = 0, delivered = 0;
   fabric.set_delivery_handler(b, [&](const Packet&) { ++delivered; });
+  fabric.set_trace_hook([&](Fabric::TraceEvent event, DropCause,
+                            const Packet&, SimTime) {
+    if (event == Fabric::TraceEvent::kDrop) ++dropped;
+  });
   for (int i = 0; i < 10; ++i) {
     Packet p;
     p.src = a;
     p.dst = b;
     p.payload_bytes = 1442;
-    fabric.send(p, [&](const Packet&) { ++dropped; });
+    fabric.send(p);
   }
   engine.run();
   EXPECT_GT(dropped, 0);
@@ -125,7 +129,7 @@ TEST_F(FabricTest, TailDropWhenBufferFull) {
   EXPECT_EQ(dropped + delivered, 10);
 }
 
-TEST_F(FabricTest, TailDropFiresOnDropExactlyOnceAndStatsMatch) {
+TEST_F(FabricTest, TailDropTracesDropExactlyOnceAndStatsMatch) {
   const NodeId a = fabric.add_node("a");
   const NodeId b = fabric.add_node("b");
   LinkConfig small;
@@ -138,19 +142,23 @@ TEST_F(FabricTest, TailDropFiresOnDropExactlyOnceAndStatsMatch) {
   std::vector<int> drop_calls(kPackets, 0);
   int delivered = 0;
   fabric.set_delivery_handler(b, [&](const Packet&) { ++delivered; });
+  fabric.set_trace_hook([&](Fabric::TraceEvent event, DropCause,
+                            const Packet& dropped, SimTime) {
+    if (event == Fabric::TraceEvent::kDrop) ++drop_calls[dropped.seq];
+  });
   for (int i = 0; i < kPackets; ++i) {
     Packet p;
     p.src = a;
     p.dst = b;
     p.seq = static_cast<std::uint64_t>(i);
     p.payload_bytes = kPayload;
-    fabric.send(p, [&](const Packet& dropped) { ++drop_calls[dropped.seq]; });
+    fabric.send(p);
   }
   engine.run();
 
   int total_drops = 0;
   for (int calls : drop_calls) {
-    EXPECT_LE(calls, 1) << "on_drop must fire at most once per packet";
+    EXPECT_LE(calls, 1) << "a drop must be traced at most once per packet";
     total_drops += calls;
   }
   EXPECT_GT(total_drops, 0);
@@ -176,12 +184,16 @@ TEST_F(FabricTest, MultiHopDropEndsTraversal) {
 
   int dropped = 0, delivered = 0;
   fabric.set_delivery_handler(b, [&](const Packet&) { ++delivered; });
+  fabric.set_trace_hook([&](Fabric::TraceEvent event, DropCause,
+                            const Packet&, SimTime) {
+    if (event == Fabric::TraceEvent::kDrop) ++dropped;
+  });
   for (int i = 0; i < 10; ++i) {
     Packet p;
     p.src = a;
     p.dst = b;
     p.payload_bytes = 1442;
-    fabric.send(p, [&](const Packet&) { ++dropped; });
+    fabric.send(p);
   }
   engine.run();
 
@@ -203,12 +215,16 @@ TEST_F(FabricTest, DownLinkDropsEverythingUntilHealed) {
 
   int dropped = 0, delivered = 0;
   fabric.set_delivery_handler(b, [&](const Packet&) { ++delivered; });
+  fabric.set_trace_hook([&](Fabric::TraceEvent event, DropCause,
+                            const Packet&, SimTime) {
+    if (event == Fabric::TraceEvent::kDrop) ++dropped;
+  });
   auto send_one = [&] {
     Packet p;
     p.src = a;
     p.dst = b;
     p.payload_bytes = 100;
-    fabric.send(p, [&](const Packet&) { ++dropped; });
+    fabric.send(p);
   };
 
   fabric.set_link_down(ab, true);

@@ -2,19 +2,25 @@
 //
 // These pin the properties the perf overhaul is built on: a warm Vm::run
 // allocates nothing, a Vm is re-entrant (same program, same input, same
-// result on every call), and fire-and-forget scheduling never materializes
-// a cancel flag. The alloc counter comes from bench/alloc_counter.cpp,
+// result on every call), and once warm the event engine, the fabric and
+// TCP schedule, forward and acknowledge without touching the heap. The
+// alloc counter comes from bench/alloc_counter.cpp,
 // whose global operator new/delete override counts every heap allocation
 // in the test binary.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "../bench/alloc_counter.hpp"
 #include "dproc/core/cluster.hpp"
 #include "dproc/ecode/ecode.hpp"
+#include "dproc/net/fabric.hpp"
+#include "dproc/net/nic.hpp"
+#include "dproc/net/tcp.hpp"
 #include "dproc/sim/engine.hpp"
 
 namespace {
@@ -229,29 +235,177 @@ TEST(PerfRegressionTest, BatchedPublishingAllocatesNoMoreThanPerModule) {
       << " over the same simulated window";
 }
 
-TEST(PerfRegressionTest, FireAndForgetScheduleAllocatesNoCancelFlags) {
-  dproc::sim::Engine engine;
-  int fired = 0;
-  for (int i = 0; i < 100; ++i) {
-    engine.schedule_after(dproc::milliseconds(1.0 + i), [&] { ++fired; });
+// Schedules, cancels and fires one round of events whose captures span
+// the inline callback size: a bare `this`-like pointer, a shared_ptr (the
+// TCP retransmission timer's `self`) and a capture of exactly
+// EventCallback::kInlineBytes.
+void engine_round(dproc::sim::Engine& engine,
+                  std::vector<dproc::sim::EventHandle>& handles,
+                  std::uint64_t& sum, const std::shared_ptr<int>& owner) {
+  struct Wide {
+    std::uint64_t* sum;
+    std::array<std::uint64_t, 5> words;
+  };
+  static_assert(sizeof(Wide) == dproc::sim::EventCallback::kInlineBytes);
+  for (std::size_t i = 0; i < handles.size(); ++i) {
+    const dproc::SimDuration at = dproc::microseconds(1.0 + static_cast<double>(i % 8));
+    switch (i % 3) {
+      case 0:
+        handles[i] = engine.schedule_after(at, [&sum] { ++sum; });
+        break;
+      case 1:
+        handles[i] = engine.schedule_after(at, [&sum, owner] { sum += *owner; });
+        break;
+      default:
+        handles[i] = engine.schedule_after(
+            at, [w = Wide{&sum, {1, 2, 3, 4, 5}}] { *w.sum += w.words[4]; });
+        break;
+    }
   }
+  for (std::size_t i = 0; i < handles.size(); i += 4) handles[i].cancel();
+  dproc::sim::EventHandle timer;
+  int ticks = 0;
+  timer = engine.schedule_periodic(dproc::microseconds(2.0), [&] {
+    if (++ticks == 3) timer.cancel();
+  });
   engine.run();
-  EXPECT_EQ(fired, 100);
-  EXPECT_EQ(engine.cancel_flags_allocated(), 0u)
-      << "discarded PendingEvents must not allocate cancel flags";
+  for (auto& handle : handles) handle.cancel();  // all stale by now
 }
 
-TEST(PerfRegressionTest, RetainedHandleAllocatesExactlyOneFlag) {
+TEST(PerfRegressionTest, WarmEngineSchedulesFiresAndCancelsWithoutAllocating) {
   dproc::sim::Engine engine;
-  int fired = 0;
-  engine.schedule_after(dproc::milliseconds(1.0), [&] { ++fired; });
-  dproc::sim::EventHandle handle =
-      engine.schedule_after(dproc::milliseconds(2.0), [&] { ++fired; });
-  EXPECT_EQ(engine.cancel_flags_allocated(), 1u);
-  handle.cancel();
+  std::vector<dproc::sim::EventHandle> handles(64);
+  const auto owner = std::make_shared<int>(3);
+  std::uint64_t sum = 0;
+  engine_round(engine, handles, sum, owner);  // sizes the slab and the heap
+
+  const std::uint64_t before = dproc::bench::alloc_count();
+  for (int i = 0; i < 100; ++i) engine_round(engine, handles, sum, owner);
+  EXPECT_EQ(dproc::bench::alloc_count() - before, 0u)
+      << "warm scheduling must not allocate per event";
+  EXPECT_GT(sum, 0u);
+  EXPECT_EQ(engine.cancel_flags_allocated(), 0u);
+}
+
+// A two-port star, a second node pair on an explicit route, and loopback.
+struct FabricRig {
+  dproc::sim::Engine engine;
+  dproc::net::Fabric fabric{engine};
+  dproc::net::NodeId a = fabric.add_node("a");
+  dproc::net::NodeId b = fabric.add_node("b");
+  std::uint64_t delivered = 0;
+
+  FabricRig() {
+    fabric.build_star({a, b}, dproc::net::LinkConfig{});
+    const auto on_delivery = [this](const dproc::net::Packet&) { ++delivered; };
+    fabric.set_delivery_handler(a, on_delivery);
+    fabric.set_delivery_handler(b, on_delivery);
+  }
+
+  void burst(const dproc::net::MessagePtr& message) {
+    for (int i = 0; i < 32; ++i) {
+      dproc::net::Packet p;
+      p.src = i % 4 == 3 ? b : a;
+      p.dst = i % 5 == 4 ? p.src : (p.src == a ? b : a);  // some loopback
+      p.payload_bytes = 1000;
+      p.message = message;
+      fabric.send(std::move(p));
+    }
+    engine.run();
+  }
+};
+
+TEST(PerfRegressionTest, WarmFabricTraversalAllocatesNothing) {
+  FabricRig rig;
+  const auto message = dproc::net::make_message({1, 2, 3});
+  rig.burst(message);
+
+  const std::uint64_t before = dproc::bench::alloc_count();
+  for (int i = 0; i < 100; ++i) rig.burst(message);
+  EXPECT_EQ(dproc::bench::alloc_count() - before, 0u)
+      << "forwarding a packet over warm links must not touch the heap";
+  EXPECT_EQ(rig.delivered, 101u * 32u);
+  EXPECT_EQ(rig.fabric.stats().drops_total(), 0u);
+  EXPECT_EQ(message.use_count(), 1) << "in-flight FIFOs must release packets";
+}
+
+TEST(PerfRegressionTest, WarmTcpExchangeAllocatesNothingPerSegment) {
+  // Request/response over one connection: each request and each reply
+  // spans several segments, and every segment is acknowledged and re-arms
+  // the retransmission timer. Messages are built up front — their own
+  // allocation is the application's, not the transport's.
+  dproc::sim::Engine engine;
+  dproc::net::Fabric fabric{engine};
+  const dproc::net::NodeId a = fabric.add_node("a");
+  const dproc::net::NodeId b = fabric.add_node("b");
+  fabric.build_star({a, b}, dproc::net::LinkConfig{});
+  dproc::net::Nic nic_a{fabric, a};
+  dproc::net::Nic nic_b{fabric, b};
+  const auto request = dproc::net::make_message({}, 6000);
+  const auto reply = dproc::net::make_message({}, 9000);
+  std::uint64_t requests = 0;
+  std::uint64_t replies = 0;
+  dproc::net::TcpConnection::Ptr server;
+  dproc::net::TcpListener listener{
+      nic_b, 80, dproc::net::TcpConfig{},
+      [&](dproc::net::TcpConnection::Ptr conn) {
+        server = conn;
+        server->set_message_handler([&](const dproc::net::MessagePtr&) {
+          ++requests;
+          server->send(reply);
+        });
+      }};
+  auto client = dproc::net::TcpConnection::connect(nic_a, b, 80);
+  client->set_message_handler(
+      [&](const dproc::net::MessagePtr&) { ++replies; });
   engine.run();
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(engine.cancel_flags_allocated(), 1u);
+  ASSERT_TRUE(client->established());
+
+  const auto exchange = [&](int rounds) {
+    for (int i = 0; i < rounds; ++i) {
+      client->send(request);
+      engine.run();
+    }
+  };
+  exchange(10);  // warm-up: grows the segment and message rings
+
+  const std::uint64_t before = dproc::bench::alloc_count();
+  exchange(1000);
+  EXPECT_EQ(dproc::bench::alloc_count() - before, 0u)
+      << "segments, ACKs and retransmission timers must not allocate";
+  EXPECT_EQ(requests, 1010u);
+  EXPECT_EQ(replies, 1010u);
+  EXPECT_EQ(client->stats().retransmissions, 0u);
+  EXPECT_EQ(request.use_count(), 1) << "acked segments must release messages";
+}
+
+TEST(PerfRegressionTest, FlatClusterStaysUnderHalfAnAllocationPerEvent) {
+  // End-to-end guard on the whole stack: 16 nodes all-pairs with batching,
+  // delta suppression and interest fan-out, measured after warm-up.
+  dproc::sim::Engine engine;
+  dproc::core::ClusterConfig config;
+  config.node_count = 16;
+  config.batch.enabled = true;
+  config.batch.delta_epsilon = 0.01;
+  config.batch.keyframe_every = 2;
+  config.batch.interest = true;
+  dproc::core::Cluster cluster{engine, config};
+  cluster.start_dproc();
+  engine.run_until(dproc::SimTime::zero() + dproc::seconds(2.0));
+  for (std::size_t i = 0; i < cluster.size(); ++i) {
+    (void)cluster.dmon(i)->declare_interest({"cpu", "mem"});
+  }
+  engine.run_until(dproc::SimTime::zero() + dproc::seconds(10.0));
+
+  const std::uint64_t allocs_before = dproc::bench::alloc_count();
+  const std::uint64_t events_before = engine.events_processed();
+  engine.run_until(dproc::SimTime::zero() + dproc::seconds(30.0));
+  const std::uint64_t allocs = dproc::bench::alloc_count() - allocs_before;
+  const std::uint64_t events = engine.events_processed() - events_before;
+  ASSERT_GT(events, 0u);
+  const double per_event = static_cast<double>(allocs) / static_cast<double>(events);
+  EXPECT_LE(per_event, 0.5) << allocs << " allocations over " << events
+                            << " events";
 }
 
 }  // namespace

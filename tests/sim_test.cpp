@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
 #include <vector>
 
 #include "dproc/sim/engine.hpp"
@@ -174,6 +176,175 @@ TEST(Engine, DefaultHandleIsInert) {
   EventHandle handle;
   EXPECT_FALSE(handle.valid());
   handle.cancel();  // no-op
+}
+
+TEST(Engine, HandleStaysValidAfterFire) {
+  Engine engine;
+  EventHandle handle = engine.schedule_after(seconds(1.0), [] {});
+  engine.run();
+  EXPECT_TRUE(handle.valid());
+}
+
+TEST(Engine, CancelAfterFireSparesTheSlotsNextOccupant) {
+  Engine engine;
+  EventHandle first = engine.schedule_after(seconds(1.0), [] {});
+  engine.run();
+  // The freed slot is reused by the next event; the stale handle must not
+  // reach it.
+  bool fired = false;
+  engine.schedule_after(seconds(1.0), [&] { fired = true; });
+  first.cancel();
+  engine.run();
+  EXPECT_TRUE(fired);
+  EXPECT_EQ(engine.events_processed(), 2u);
+}
+
+TEST(Engine, CancelAfterCancelledSlotReuseIsNoOp) {
+  Engine engine;
+  EventHandle dropped = engine.schedule_after(seconds(1.0), [] {});
+  dropped.cancel();
+  engine.run();  // drops the cancelled entry and frees its slot
+  bool fired = false;
+  engine.schedule_after(seconds(1.0), [&] { fired = true; });
+  dropped.cancel();
+  engine.run();
+  EXPECT_TRUE(fired);
+}
+
+TEST(Engine, EventMayCancelItselfFromItsCallback) {
+  Engine engine;
+  int count = 0;
+  EventHandle self;
+  self = engine.schedule_after(seconds(1.0), [&] {
+    ++count;
+    self.cancel();  // already firing: a no-op
+    engine.schedule_after(seconds(1.0), [&] { ++count; });
+  });
+  engine.run();
+  EXPECT_EQ(count, 2);
+  self.cancel();  // stale: must not touch the follow-up's reused slot
+  EXPECT_EQ(engine.events_processed(), 2u);
+}
+
+TEST(Engine, PeriodicCancelledFromItsCallbackFreesItsSlot) {
+  Engine engine;
+  int ticks = 0;
+  EventHandle timer;
+  timer = engine.schedule_periodic(seconds(1.0), [&] {
+    if (++ticks == 2) timer.cancel();
+  });
+  engine.run();
+  EXPECT_EQ(ticks, 2);
+  EXPECT_EQ(engine.pending_events(), 0u);
+  bool fired = false;
+  engine.schedule_after(seconds(1.0), [&] { fired = true; });
+  timer.cancel();  // stale after the timer stopped
+  engine.run();
+  EXPECT_TRUE(fired);
+}
+
+TEST(Engine, PeriodicKeepsFifoTieBreakAgainstOneShots) {
+  // The timer re-queues itself after each tick returns, with a fresh
+  // sequence number: a one-shot scheduled before the timer, or during the
+  // tick, for the instant of the next tick fires before that tick.
+  Engine engine;
+  std::vector<int> order;
+  engine.schedule_at(SimTime::zero() + seconds(2.0), [&] { order.push_back(0); });
+  EventHandle timer = engine.schedule_periodic(seconds(1.0), [&] {
+    order.push_back(1);
+    if (engine.now() == SimTime::zero() + seconds(1.0)) {
+      engine.schedule_at(SimTime::zero() + seconds(2.0),
+                         [&] { order.push_back(2); });
+    }
+  });
+  engine.run_until(SimTime::zero() + seconds(2.0));
+  timer.cancel();
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 2, 1}));
+}
+
+TEST(Engine, TiesFireInScheduleOrderAcrossSlotReuse) {
+  Engine engine;
+  // Scramble the free list: fire some events, cancel others.
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 40; ++i) {
+    handles.push_back(engine.schedule_after(seconds(1.0 + i % 7), [] {}));
+  }
+  for (std::size_t i = 0; i < handles.size(); i += 3) handles[i].cancel();
+  engine.run();
+  std::vector<int> order;
+  const SimTime at = engine.now() + seconds(1.0);
+  for (int i = 0; i < 50; ++i) {
+    engine.schedule_at(at, [&, i] { order.push_back(i); });
+  }
+  engine.run();
+  ASSERT_EQ(order.size(), 50u);
+  for (int i = 0; i < 50; ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(Engine, CallbacksLargerThanInlineStorageStillRun) {
+  Engine engine;
+  std::array<std::uint64_t, 16> big{};
+  big[15] = 7;
+  std::uint64_t seen = 0;
+  static_assert(sizeof(big) > EventCallback::kInlineBytes);
+  engine.schedule_after(seconds(1.0), [&seen, big] { seen = big[15]; });
+  engine.run();
+  EXPECT_EQ(seen, 7u);
+}
+
+TEST(Engine, MoveOnlyCapturesAreAccepted) {
+  Engine engine;
+  int seen = 0;
+  auto value = std::make_unique<int>(42);
+  engine.schedule_after(seconds(1.0),
+                        [&seen, value = std::move(value)] { seen = *value; });
+  engine.run();
+  EXPECT_EQ(seen, 42);
+}
+
+// An object whose destructor cancels its own pending event — the shape of
+// a TCP connection whose retransmission timer captures the connection.
+struct SelfCancelling {
+  EventHandle timer;
+  bool* destroyed = nullptr;
+  ~SelfCancelling() {
+    timer.cancel();
+    *destroyed = true;
+  }
+};
+
+TEST(Engine, DestroyingEngineReleasesSelfCancellingOwners) {
+  bool destroyed = false;
+  {
+    Engine engine;
+    auto owner = std::make_shared<SelfCancelling>();
+    owner->destroyed = &destroyed;
+    owner->timer = engine.schedule_after(seconds(1.0), [owner] {});
+    // Another queued callback behind it, so the slab is not trivially
+    // one slot.
+    engine.schedule_after(seconds(2.0), [] {});
+    owner.reset();  // the pending callback holds the last reference
+    EXPECT_FALSE(destroyed);
+  }
+  EXPECT_TRUE(destroyed);
+}
+
+TEST(Engine, DroppingCancelledEventReleasesSelfCancellingOwner) {
+  Engine engine;
+  bool destroyed = false;
+  auto owner = std::make_shared<SelfCancelling>();
+  owner->destroyed = &destroyed;
+  owner->timer = engine.schedule_after(seconds(1.0), [owner] {});
+  owner->timer.cancel();
+  owner.reset();
+  // The cancelled entry is dropped when it comes up; its callback — and
+  // with it the owner — dies then, cancelling a handle that is now stale.
+  bool later = false;
+  engine.schedule_after(seconds(2.0), [&] { later = true; });
+  engine.run();
+  EXPECT_TRUE(destroyed);
+  EXPECT_TRUE(later);
+  EXPECT_EQ(engine.events_processed(), 1u);
 }
 
 }  // namespace

@@ -107,7 +107,7 @@ TEST(TelemetrySpans, DisabledRecordsNothing) {
 }
 
 TEST(TelemetryAllocation, DisabledInstrumentsNeverTouchTheHeap) {
-  Registry registry;  // default 4096-span ring, pre-allocated
+  Registry registry;  // default 4096-span ring, sized only on enable
   auto& counter = registry.counter("kecho", "submits");
   auto& gauge = registry.gauge("cpu", "util");
   auto& latency = registry.latency("dmon", "poll_us");
@@ -136,7 +136,31 @@ TEST(TelemetryAllocation, EnabledSpanAndCounterRecordingIsAllocFree) {
                          SimTime{} + microseconds(5.0));
   }
   EXPECT_EQ(dproc::bench::alloc_count() - before, 0u)
-      << "the span ring is pre-allocated; recording must not allocate";
+      << "the span ring is sized on enable; recording must not allocate";
+}
+
+TEST(TelemetryAllocation, RingsAreSizedWhenTheirGateIsFirstEnabled) {
+  // Untraced hosts never pay for the span and hop rings; each ring is
+  // allocated once, by the first enable of its own gate.
+  Registry registry{nullptr, 4, 8};
+  EXPECT_EQ(registry.span_capacity(), 4u);
+  EXPECT_EQ(registry.hop_capacity(), 8u);
+
+  std::uint64_t before = dproc::bench::alloc_count();
+  registry.set_enabled(true);
+  registry.set_enabled(false);
+  registry.set_enabled(true);
+  EXPECT_EQ(dproc::bench::alloc_count() - before, 1u);
+
+  before = dproc::bench::alloc_count();
+  registry.set_trace_enabled(true);
+  registry.set_trace_enabled(false);
+  registry.set_trace_enabled(true);
+  EXPECT_EQ(dproc::bench::alloc_count() - before, 1u);
+
+  for (int i = 0; i < 10; ++i) registry.record_hop(dproc::telemetry::Hop{});
+  EXPECT_EQ(registry.hop_count(), 8u);
+  EXPECT_EQ(registry.hops_dropped(), 2u);
 }
 
 TEST(TelemetryChromeTrace, ExportIsWellFormed) {
