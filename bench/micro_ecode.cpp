@@ -183,44 +183,6 @@ dproc::bench::JsonBenchEntry measure_steady_state(std::uint64_t iters) {
   return entry;
 }
 
-dproc::bench::JsonBenchEntry measure_pooled(std::uint64_t iters) {
-  // The pooled path: no caller-owned Vm, but the per-channel VmPool keeps
-  // the leased Vm's arenas warm — steady-state latency at fresh-VM call
-  // convenience.
-  using Clock = std::chrono::steady_clock;
-  auto filter = Filter::compile(kFigure3Filter, paper_env()).value();
-  const auto input = paper_input();
-
-  dproc::ecode::VmPool pool;
-  dproc::ecode::FilterResult result;
-  for (int i = 0; i < 1000; ++i) {  // warm the pool's single lease slot
-    (void)filter.run(pool, input, result);
-  }
-
-  const std::uint64_t allocs_before = dproc::bench::alloc_count();
-  const Clock::time_point start = Clock::now();
-  std::uint64_t insns = 0;
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    (void)filter.run(pool, input, result);
-    insns += result.instructions_executed;
-  }
-  const double ns =
-      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              Clock::now() - start)
-                              .count());
-  const std::uint64_t allocs = dproc::bench::alloc_count() - allocs_before;
-  benchmark::DoNotOptimize(insns);
-
-  dproc::bench::JsonBenchEntry entry;
-  entry.name = "filter_eval_pooled";
-  entry.iterations = iters;
-  entry.ns_per_event = ns / static_cast<double>(iters);
-  entry.ops_per_sec = 1e9 / entry.ns_per_event;
-  entry.allocs_per_event =
-      static_cast<double>(allocs) / static_cast<double>(iters);
-  return entry;
-}
-
 dproc::bench::JsonBenchEntry measure_per_call(std::uint64_t iters) {
   // The compatibility path (fresh result per call), for comparison.
   using Clock = std::chrono::steady_clock;
@@ -241,46 +203,6 @@ dproc::bench::JsonBenchEntry measure_per_call(std::uint64_t iters) {
 
   dproc::bench::JsonBenchEntry entry;
   entry.name = "filter_eval_fresh_vm";
-  entry.iterations = iters;
-  entry.ns_per_event = ns / static_cast<double>(iters);
-  entry.ops_per_sec = 1e9 / entry.ns_per_event;
-  entry.allocs_per_event =
-      static_cast<double>(allocs) / static_cast<double>(iters);
-  return entry;
-}
-
-dproc::bench::JsonBenchEntry measure_fresh_pooled(std::uint64_t iters) {
-  // The fresh-call shape d-mon uses per channel: every evaluation acquires
-  // a lease from the per-channel pool (no caller-owned Vm or result) and
-  // releases it. Once the single slot has warmed up this must sit within
-  // 1.5x of the persistent-Vm steady state with zero heap traffic — the
-  // exit-code bar in main().
-  using Clock = std::chrono::steady_clock;
-  auto filter = Filter::compile(kFigure3Filter, paper_env()).value();
-  const auto input = paper_input();
-
-  dproc::ecode::VmPool pool;
-  for (int i = 0; i < 1000; ++i) {  // warm the pool's single lease slot
-    auto lease = filter.eval(pool, input);
-    benchmark::DoNotOptimize(lease);
-  }
-
-  const std::uint64_t allocs_before = dproc::bench::alloc_count();
-  const Clock::time_point start = Clock::now();
-  std::uint64_t insns = 0;
-  for (std::uint64_t i = 0; i < iters; ++i) {
-    auto lease = filter.eval(pool, input);
-    insns += lease.value().result().instructions_executed;
-  }
-  const double ns =
-      static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              Clock::now() - start)
-                              .count());
-  const std::uint64_t allocs = dproc::bench::alloc_count() - allocs_before;
-  benchmark::DoNotOptimize(insns);
-
-  dproc::bench::JsonBenchEntry entry;
-  entry.name = "filter_eval_fresh_pooled";
   entry.iterations = iters;
   entry.ns_per_event = ns / static_cast<double>(iters);
   entry.ops_per_sec = 1e9 / entry.ns_per_event;
@@ -374,7 +296,7 @@ dproc::bench::JsonBenchEntry measure_corpus(std::uint64_t iters) {
   return entry;
 }
 
-/// Best-of-N to keep the exit-code ratio bars stable at smoke scale.
+/// Best-of-N, so one noisy pass does not set the recorded figure.
 template <typename Fn>
 dproc::bench::JsonBenchEntry best_of(int n, Fn measure) {
   dproc::bench::JsonBenchEntry best = measure();
@@ -395,31 +317,8 @@ int main(int argc, char** argv) {
 
   const std::uint64_t iters = dproc::bench::bench_iterations(2'000'000);
   auto steady = best_of(3, [&] { return measure_steady_state(iters); });
-  auto pooled = best_of(3, [&] { return measure_pooled(iters); });
-  auto fresh = best_of(3, [&] { return measure_fresh_pooled(iters); });
   auto corpus = best_of(3, [&] { return measure_corpus(iters); });
-  const double fresh_ratio = fresh.ns_per_event / steady.ns_per_event;
-  fresh.extras.emplace_back("ratio_vs_steady", fresh_ratio);
-
   const bool ok = dproc::bench::write_bench_json(
-      "micro_ecode", {steady, pooled, fresh, measure_per_call(iters),
-                      corpus});
-  if (!ok) return 1;
-
-  // Exit-code bars: the pooled fresh-call path must stay within 1.5x of
-  // steady state and allocation-free once warm.
-  if (fresh_ratio > 1.5) {
-    std::fprintf(stderr,
-                 "PERF BAR FAILED: fresh_pooled %.1f ns vs steady %.1f ns "
-                 "(ratio %.2f > 1.5)\n",
-                 fresh.ns_per_event, steady.ns_per_event, fresh_ratio);
-    return 1;
-  }
-  if (fresh.allocs_per_event != 0.0) {
-    std::fprintf(stderr,
-                 "PERF BAR FAILED: fresh_pooled allocates (%.4f/event)\n",
-                 fresh.allocs_per_event);
-    return 1;
-  }
-  return 0;
+      "micro_ecode", {steady, measure_per_call(iters), corpus});
+  return ok ? 0 : 1;
 }

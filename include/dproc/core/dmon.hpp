@@ -450,8 +450,13 @@ class DMon {
 
   // --- hierarchy ---------------------------------------------------------
   /// Joins zone channels, installs handlers and registers the overlay's
-  /// procfs files, per this node's duties in the shared layout.
-  void start_hierarchy();
+  /// procfs files, per this node's duties in the shared layout. False when
+  /// the overlay is off or this node lies outside the layout: the caller
+  /// then runs the flat stack.
+  bool start_hierarchy();
+  /// Joins the flat monitoring and/or control channel and installs their
+  /// handlers.
+  void join_flat_channels(bool monitor, bool control);
   kecho::Channel* join_zone_channel(std::uint32_t zone_id);
   [[nodiscard]] ZoneDuty* duty_of(std::uint32_t zone_id);
   [[nodiscard]] bool hier_alive(std::size_t node) const;
@@ -470,16 +475,24 @@ class DMon {
   /// applies it locally when this node is itself a root candidate.
   void send_drill_request(net::NodeId target, bool enable);
   /// Forwards a drilled origin's raw batch one hop up the acting chain,
-  /// or to the requesters at the root.
+  /// or to the requesters at the root (encoding the drill frame only when
+  /// one goes out).
   void send_drill_up(ZoneDuty& duty, net::NodeId origin,
-                     const net::MessagePtr& frame, PollRecord* record);
+                     const net::MonitorBatch& batch, PollRecord* record);
+  /// Drill-request intake (charges nothing): applies the request decoded
+  /// from `r` to every duty whose zone's parent is `parent` — the root
+  /// duty for a request on the summary channel (nullopt), a zone's child
+  /// duties for one relayed down that zone's channel.
+  void take_drill_request(net::ByteReader& r,
+                          std::optional<std::uint32_t> parent);
   /// Leaf capture: wraps `batch` as drill data if `origin` is drilled.
   void maybe_forward_drill(ZoneDuty& leaf_duty, net::NodeId origin,
                            const net::MonitorBatch& batch, PollRecord* record);
   void prune_drills(SimTime now);
   void register_hier_files();
-  /// Looks up (or lazily declares, from the fabric name table) a peer.
-  Peer& ensure_peer(net::NodeId origin);
+  /// Looks up (or lazily declares, from the fabric name table) the origin
+  /// of a raw feed and marks it heard from now.
+  Peer& refresh_peer(net::NodeId origin);
   void apply_batch_to_peer(Peer& peer, const net::MonitorBatch& batch,
                            std::uint64_t trace_id);
   /// Re-sends the local interest declaration (no-op before the control
@@ -497,8 +510,19 @@ class DMon {
   void on_membership(kecho::MemberEventKind kind, net::NodeId node);
   [[nodiscard]] PeerState state_of(const Peer& peer) const;
   void register_local_files(const ModuleEntry& entry);
+  /// Creates /proc/cluster/<name>/<metric> for metric ids from `first` on.
+  void register_peer_metric_files(net::NodeId node, const std::string& name,
+                                  MetricId first);
   void rebuild_tuning();
   void charge(double cycles);
+  /// Bills one delivered event's procfs update, counted into this poll's
+  /// receive cost.
+  void charge_intake();
+  /// Counts one submitted batch (batch_scratch_) into the record and the
+  /// batch telemetry.
+  void count_batch_submit(PollRecord& record);
+  /// Counts one overlay frame sent (`rx` false) or received at `tier`.
+  void count_tier(std::size_t tier, bool rx, std::uint64_t bytes);
   /// Tail of every poll(): accumulates this poll's kernel cost into the
   /// adaptation window and, at interval boundaries, runs one controller
   /// round and applies the resulting adaptive periods.

@@ -24,6 +24,7 @@
 
 #include "dproc/core/incident.hpp"
 #include "dproc/telemetry/flight.hpp"
+#include "dproc/util/ring.hpp"
 #include "dproc/util/time.hpp"
 
 namespace dproc::host {
@@ -85,27 +86,12 @@ struct HealthConfig {
 /// Pre-allocated by configure(); push() never allocates.
 class MetricHistory {
  public:
-  void configure(std::size_t depth) {
-    ring_.assign(depth > 0 ? depth : 1, 0.0);
-    head_ = 0;
-    size_ = 0;
-  }
-  void push(double v) {
-    if (ring_.empty()) return;
-    if (size_ < ring_.size()) {
-      ring_[(head_ + size_) % ring_.size()] = v;
-      ++size_;
-    } else {
-      ring_[head_] = v;
-      head_ = (head_ + 1) % ring_.size();
-    }
-  }
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t depth() const { return ring_.size(); }
+  void configure(std::size_t depth) { ring_.reset(depth > 0 ? depth : 1); }
+  void push(double v) { ring_.push(v); }
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
+  [[nodiscard]] std::size_t depth() const { return ring_.capacity(); }
   /// Entry i counted from the oldest retained (0 == oldest).
-  [[nodiscard]] double at(std::size_t i) const {
-    return ring_[(head_ + i) % ring_.size()];
-  }
+  [[nodiscard]] double at(std::size_t i) const { return ring_[i]; }
   /// Sum over the newest min(window, size) entries.
   [[nodiscard]] double window_sum(std::size_t window) const;
   /// Fraction of the newest min(window, size) entries that are nonzero;
@@ -113,9 +99,7 @@ class MetricHistory {
   [[nodiscard]] double window_active(std::size_t window) const;
 
  private:
-  std::vector<double> ring_;
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
+  Ring<double> ring_;
 };
 
 /// Peer-staleness census d-mon hands the engine each poll.

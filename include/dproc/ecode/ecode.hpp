@@ -46,31 +46,6 @@ class Filter {
     return Vm{limits}.run(bytecode_, input);
   }
 
-  /// Pooled evaluation: runs on a Vm leased from `pool` into the caller's
-  /// reusable `result`. With a persistent pool and result this is the
-  /// steady-state path for callers without their own long-lived Vm — zero
-  /// heap allocations once the leased arenas and `result` have warmed up.
-  Status run(VmPool& pool, std::span<const Sample> input,
-             FilterResult& result) const {
-    VmPool::Lease lease = pool.acquire();
-    return lease.vm().run(bytecode_, input, result);
-  }
-
-  /// Fresh-call convenience at steady-state cost: leases a warm slot from
-  /// `pool`, runs into the slot's pooled result arena, and hands back the
-  /// lease so the caller reads outputs without owning a FilterResult. Once
-  /// the slot has warmed up this performs zero heap allocations — the path
-  /// callers should use where they previously paid the cold `run(input)`.
-  [[nodiscard]] Result<VmPool::Lease> eval(VmPool& pool,
-                                           std::span<const Sample> input) const {
-    VmPool::Lease lease = pool.acquire();
-    if (Status status = lease.vm().run(bytecode_, input, lease.result());
-        !status) {
-      return status;
-    }
-    return lease;
-  }
-
   [[nodiscard]] const Bytecode& bytecode() const { return bytecode_; }
   [[nodiscard]] const std::string& source() const { return source_; }
 

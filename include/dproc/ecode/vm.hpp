@@ -23,7 +23,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -139,75 +138,6 @@ class Vm {
   std::vector<Sample> out_samples_;       // dense, indexed by output slot
   std::vector<std::uint8_t> out_written_; // parallel written flags
   std::vector<std::int32_t> out_touched_; // slots written this run, any order
-};
-
-/// A freelist of warm Vm instances — one pool per channel. The
-/// compatibility path (`Filter::run(input)`) constructs a cold Vm per
-/// evaluation, paying fresh scratch-arena growth on every call (~4x the
-/// steady-state latency, ~14 allocations per run); a Vm leased from the
-/// pool keeps the arenas its earlier runs sized, so pooled evaluation
-/// allocates nothing once every lease slot has warmed up. Each pool slot
-/// also carries a warm FilterResult, so the fresh-call convenience path
-/// (Filter::eval) runs at steady-state cost without a caller-owned result.
-/// Leases are RAII: the slot returns to the freelist when the handle dies,
-/// and concurrent leases (nested filter evaluation) simply grow the pool.
-class VmPool {
- public:
-  explicit VmPool(VmLimits limits = {}) : limits_(limits) {}
-  VmPool(const VmPool&) = delete;
-  VmPool& operator=(const VmPool&) = delete;
-
-  /// One warm Vm + FilterResult pair owned by the pool.
-  struct Slot {
-    std::unique_ptr<Vm> vm;
-    std::unique_ptr<FilterResult> result;
-  };
-
-  class Lease {
-   public:
-    Lease(Lease&& other) noexcept
-        : pool_(other.pool_), slot_(std::move(other.slot_)) {
-      other.pool_ = nullptr;
-    }
-    Lease& operator=(Lease&&) = delete;
-    ~Lease() {
-      if (pool_ != nullptr) pool_->release(std::move(slot_));
-    }
-    [[nodiscard]] Vm& vm() { return *slot_.vm; }
-    /// The slot's pooled result arena (Filter::eval runs into this).
-    [[nodiscard]] FilterResult& result() { return *slot_.result; }
-    [[nodiscard]] const FilterResult& result() const { return *slot_.result; }
-
-   private:
-    friend class VmPool;
-    Lease(VmPool* pool, Slot slot) : pool_(pool), slot_(std::move(slot)) {}
-    VmPool* pool_;
-    Slot slot_;
-  };
-
-  /// Leases a warm slot (or creates one on first use / under nesting).
-  [[nodiscard]] Lease acquire() {
-    if (free_.empty()) {
-      ++created_;
-      return Lease{this, Slot{std::make_unique<Vm>(limits_),
-                              std::make_unique<FilterResult>()}};
-    }
-    Slot slot = std::move(free_.back());
-    free_.pop_back();
-    return Lease{this, std::move(slot)};
-  }
-
-  /// Vms ever constructed by this pool (1 in the steady state of one
-  /// channel evaluating one filter per period).
-  [[nodiscard]] std::size_t created() const { return created_; }
-  [[nodiscard]] std::size_t idle() const { return free_.size(); }
-
- private:
-  void release(Slot slot) { free_.push_back(std::move(slot)); }
-
-  VmLimits limits_;
-  std::vector<Slot> free_;
-  std::size_t created_ = 0;
 };
 
 }  // namespace dproc::ecode

@@ -164,9 +164,10 @@ class Channel {
   ///
   /// Every submit takes an optional trace context. A valid one on a host
   /// with tracing enabled stamps the submit hop into this node's hop log
-  /// and appends the context to the wire frame so downstream hops can
-  /// continue the chain; otherwise the frame is untraced (byte-identical
-  /// to a submit without a context).
+  /// (once, and only if some member is sent a frame) and appends the
+  /// context to the wire frame so downstream hops can continue the chain;
+  /// otherwise the frame is untraced (byte-identical to a submit without a
+  /// context).
   SimDuration submit(const net::MessagePtr& payload,
                      net::TraceContext trace = {});
 
@@ -200,12 +201,25 @@ class Channel {
 
  private:
   friend class Node;
-  Channel(Node& node, std::string name) : node_(node), name_(std::move(name)) {}
+  Channel(Node& node, std::string name) : node_(node), name_(std::move(name)) {
+    // Most submissions carry one payload: sized at join, the frame cache
+    // never allocates on the publish path.
+    frames_.reserve(1);
+  }
 
   /// Stamps the submit hop for `trace` and returns it for the wire
   /// trailer, or nullptr (untraced frame) when tracing is off on this host
   /// or `trace` is invalid.
   const net::TraceContext* stamp_submit(net::TraceContext& trace);
+
+  /// The one send body behind submit, submit_to and submit_to_each.
+  /// `select(member)` yields the payload (a MessagePtr or a reference to
+  /// one) that member receives, or nullptr to skip it. Encodes one frame
+  /// per distinct payload, sends it over the channel's transport, marks
+  /// each member sent a frame as sent-to (suppressing its next heartbeat),
+  /// and charges each frame's marshalling cost once per member sent it.
+  template <typename Select>
+  SimDuration send_each(const Select& select, net::TraceContext trace);
 
   Node& node_;
   std::string name_;
@@ -217,8 +231,16 @@ class Channel {
   std::deque<Event> rx_queue_;
   std::uint64_t submitted_ = 0;
   std::uint64_t received_ = 0;
-  /// Reused one-element member list for submit_to's heartbeat suppression.
-  std::vector<Member> single_member_scratch_;
+  /// send_each's frame cache: one entry per distinct payload of the
+  /// submission in progress. The payload is held so its address cannot be
+  /// reused by another payload mid-call. Cleared after every submission,
+  /// capacity kept.
+  struct SentFrame {
+    net::MessagePtr payload;
+    net::MessagePtr frame;
+    std::size_t members = 0;  // members sent this frame
+  };
+  std::vector<SentFrame> frames_;
   std::vector<std::function<void(Channel&)>> on_ready_;
   int join_attempts_ = 0;        // backoff exponent for the next retry
   sim::EventHandle join_retry_;  // pending retry; cancelled on response
@@ -382,9 +404,9 @@ class Node {
   void forget_peer(net::NodeId peer);
   [[nodiscard]] bool member_of_any_channel(net::NodeId peer) const;
   void notify_membership(MemberEventKind kind, net::NodeId node);
-  /// Data-frame piggybacking: marks `members` as sent-to now, suppressing
-  /// this period's explicit heartbeat to them.
-  void note_submission(const std::vector<Member>& members);
+  /// Data-frame piggybacking: marks `peer` as sent-to at `now`,
+  /// suppressing this period's explicit heartbeat to it.
+  void note_submission(net::NodeId peer, SimTime now);
 
   host::Host& host_;
   net::Nic& nic_;

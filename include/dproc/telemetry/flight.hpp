@@ -23,6 +23,8 @@
 #include <string>
 #include <vector>
 
+#include "dproc/util/ring.hpp"
+
 namespace dproc::sim {
 class Engine;
 }  // namespace dproc::sim
@@ -119,7 +121,7 @@ class FlightRecorder {
   /// and set_enabled(true) have run; reconfiguring clears retained events.
   void configure(std::size_t capacity);
   void set_enabled(bool enabled) {
-    enabled_.store(enabled && !ring_.empty(), std::memory_order_relaxed);
+    enabled_.store(enabled && ring_.capacity() > 0, std::memory_order_relaxed);
   }
   [[nodiscard]] bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);
@@ -131,12 +133,12 @@ class FlightRecorder {
               std::uint64_t a0 = 0, std::uint64_t a1 = 0, std::uint64_t a2 = 0,
               std::uint64_t a3 = 0, std::uint64_t trace_id = 0);
 
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
+  [[nodiscard]] std::size_t size() const { return ring_.size(); }
+  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
   [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   /// Event i counted from the oldest retained (0 == oldest).
   [[nodiscard]] const FlightEvent& event(std::size_t i) const {
-    return ring_[(head_ + i) % ring_.size()];
+    return ring_[i];
   }
   void clear();
 
@@ -153,9 +155,7 @@ class FlightRecorder {
   const sim::Engine* clock_;
   std::atomic<bool> enabled_{false};
   mutable std::atomic_flag lock_ = ATOMIC_FLAG_INIT;
-  std::vector<FlightEvent> ring_;  // fixed-capacity once configured
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
+  Ring<FlightEvent> ring_;  // fixed-capacity once configured
   std::uint64_t dropped_ = 0;
 };
 

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "dproc/util/ring.hpp"
 #include "dproc/util/stats.hpp"
 #include "dproc/util/time.hpp"
 
@@ -212,11 +213,11 @@ class Registry {
   /// full (spans_dropped() counts the overwrites). No-op when disabled.
   void record_span(const char* category, const char* name, SimTime start,
                    SimTime end);
-  [[nodiscard]] std::size_t span_count() const { return span_size_; }
+  [[nodiscard]] std::size_t span_count() const { return spans_.size(); }
   [[nodiscard]] std::size_t span_capacity() const { return span_capacity_; }
   [[nodiscard]] std::uint64_t spans_dropped() const { return spans_dropped_; }
   /// Span i counted from the oldest retained (0 == oldest).
-  [[nodiscard]] const Span& span(std::size_t i) const;
+  [[nodiscard]] const Span& span(std::size_t i) const { return spans_[i]; }
   void clear_spans();
 
   // --- causal-tracing hop log ---------------------------------------------
@@ -226,11 +227,11 @@ class Registry {
   /// is disabled; never allocates (the ring is sized when tracing is
   /// enabled).
   void record_hop(const Hop& hop);
-  [[nodiscard]] std::size_t hop_count() const { return hop_size_; }
+  [[nodiscard]] std::size_t hop_count() const { return hops_.size(); }
   [[nodiscard]] std::size_t hop_capacity() const { return hop_capacity_; }
   [[nodiscard]] std::uint64_t hops_dropped() const { return hops_dropped_; }
   /// Hop i counted from the oldest retained (0 == oldest).
-  [[nodiscard]] const Hop& hop(std::size_t i) const;
+  [[nodiscard]] const Hop& hop(std::size_t i) const { return hops_[i]; }
   void clear_hops();
 
   /// Virtual-clock "now" in nanoseconds (0 without a clock).
@@ -280,15 +281,11 @@ class Registry {
 
   // Fixed-capacity rings, empty until their gate is first enabled.
   std::size_t span_capacity_;
-  std::vector<Span> spans_;
-  std::size_t span_head_ = 0;
-  std::size_t span_size_ = 0;
+  Ring<Span> spans_;
   std::uint64_t spans_dropped_ = 0;
 
   std::size_t hop_capacity_;
-  std::vector<Hop> hops_;
-  std::size_t hop_head_ = 0;
-  std::size_t hop_size_ = 0;
+  Ring<Hop> hops_;
   std::uint64_t hops_dropped_ = 0;
 };
 

@@ -66,6 +66,24 @@ net::MessagePtr encode_drill_request(net::NodeId requester, net::NodeId target,
   return net::make_message(w.take());
 }
 
+/// A kOpDrillRequest body, as encode_drill_request writes it.
+struct DrillRequest {
+  net::NodeId requester = 0;
+  net::NodeId target = 0;
+  bool enable = false;
+  std::uint32_t ttl_periods = 0;
+};
+
+/// Decodes a kOpDrillRequest body (the op byte already read); false when
+/// the body is short.
+bool decode_drill_request(net::ByteReader& r, DrillRequest& out) {
+  out.requester = r.u32();
+  out.target = r.u32();
+  out.enable = r.u8() != 0;
+  out.ttl_periods = r.u32();
+  return r.ok();
+}
+
 net::MessagePtr encode_drill_data(net::NodeId origin,
                                   const net::MonitorBatch& batch) {
   net::ByteWriter w;
@@ -365,6 +383,12 @@ void DMon::charge(double cycles) {
   host_.cpu().consume_kernel_cycles(cycles);
 }
 
+void DMon::charge_intake() {
+  const double cycles = config_.overheads.procfs_update_cycles_per_event;
+  charge(cycles);
+  handler_cost_ += seconds(cycles / host_.cpu().config().clock_hz);
+}
+
 void DMon::rebuild_tuning() {
   tuning_ = std::make_unique<PublisherTuning>(config_.poll_period, metric_ids_);
   tuning_->enable_sketch_builtins(config_.sketch.enabled);
@@ -410,20 +434,25 @@ void DMon::register_module(std::unique_ptr<MonitoringModule> module) {
   // Peers declared before this module gained metrics: create their files.
   for (auto& [node, peer] : peers_) {
     peer.metrics.resize(metric_table_.size());
-    for (std::size_t i = entry.first_id; i < metric_table_.size(); ++i) {
-      const MetricDesc& desc = metric_table_[i];
-      const net::NodeId node_copy = node;
-      const MetricId id = desc.id;
-      procfs_.register_file(
-          "/proc/cluster/" + peer.name + "/" + desc.path, [this, node_copy, id] {
-            auto it = peers_.find(node_copy);
-            if (it == peers_.end() || id >= it->second.metrics.size()) {
-              return std::string{"no data\n"};
-            }
-            return render_value(it->second.metrics[id], host_.engine().now(),
-                                state_of(it->second));
-          });
-    }
+    register_peer_metric_files(node, peer.name, added.first_id);
+  }
+}
+
+void DMon::register_peer_metric_files(net::NodeId node,
+                                      const std::string& name,
+                                      MetricId first) {
+  for (std::size_t i = first; i < metric_table_.size(); ++i) {
+    const MetricDesc& desc = metric_table_[i];
+    const MetricId id = desc.id;
+    procfs_.register_file(
+        "/proc/cluster/" + name + "/" + desc.path, [this, node, id] {
+          auto it = peers_.find(node);
+          if (it == peers_.end() || id >= it->second.metrics.size()) {
+            return std::string{"no data\n"};
+          }
+          return render_value(it->second.metrics[id], host_.engine().now(),
+                              state_of(it->second));
+        });
   }
 }
 
@@ -446,18 +475,7 @@ void DMon::add_peer(net::NodeId node, const std::string& name) {
   peer.name = name;
   peer.metrics.resize(metric_table_.size());
   if (created) peer.declared_at = host_.engine().now();
-  for (const MetricDesc& desc : metric_table_) {
-    const MetricId id = desc.id;
-    procfs_.register_file(
-        "/proc/cluster/" + name + "/" + desc.path, [this, node, id] {
-          auto peer_it = peers_.find(node);
-          if (peer_it == peers_.end() || id >= peer_it->second.metrics.size()) {
-            return std::string{"no data\n"};
-          }
-          return render_value(peer_it->second.metrics[id],
-                              host_.engine().now(), state_of(peer_it->second));
-        });
-  }
+  register_peer_metric_files(node, name, 0);
   procfs_.register_file("/proc/cluster/" + name + "/status", [this, node] {
     auto peer_it = peers_.find(node);
     if (peer_it == peers_.end()) return std::string{"state dead\n"};
@@ -496,18 +514,22 @@ void DMon::start() {
                            module_ranges_[i].first, module_ranges_[i].count);
     }
   }
-  if (config_.hierarchy.enabled && config_.hierarchy_layout != nullptr) {
-    start_hierarchy();
-  } else {
+  if (!start_hierarchy()) join_flat_channels(true, true);
+  poll_timer_ = host_.engine().schedule_periodic(config_.poll_period,
+                                                 [this] { poll(); });
+}
+
+void DMon::join_flat_channels(bool monitor, bool control) {
+  if (monitor) {
     monitor_channel_ = &kecho_.join(config_.monitor_channel);
     monitor_channel_->set_handler(
         [this](const kecho::Event& event) { on_monitor_event(event); });
+  }
+  if (control) {
     control_channel_ = &kecho_.join(config_.control_channel);
     control_channel_->set_handler(
         [this](const kecho::Event& event) { on_control_event(event); });
   }
-  poll_timer_ = host_.engine().schedule_periodic(config_.poll_period,
-                                                 [this] { poll(); });
 }
 
 void DMon::stop() {
@@ -829,14 +851,20 @@ void DMon::note_render(const kecho::Event& event,
                 << " us > " << budget.us() << " us)";
 }
 
-DMon::Peer& DMon::ensure_peer(net::NodeId origin) {
+DMon::Peer& DMon::refresh_peer(net::NodeId origin) {
   auto it = peers_.find(origin);
   if (it == peers_.end()) {
     // Peer never declared: learn it from the fabric's name table.
     add_peer(origin, nic_.fabric().node_name(origin));
     it = peers_.find(origin);
   }
-  return it->second;
+  // Any update is a sign of life: refresh the staleness clock and clear a
+  // possibly spurious eviction.
+  Peer& peer = it->second;
+  peer.last_update = host_.engine().now();
+  peer.has_data = true;
+  peer.dead = false;
+  return peer;
 }
 
 void DMon::apply_batch_to_peer(Peer& peer, const net::MonitorBatch& batch,
@@ -864,28 +892,14 @@ void DMon::on_monitor_event(const kecho::Event& event) {
     summary_ = agg_rx_;
     summary_at_ = host_.engine().now();
     summary_valid_ = true;
-    if (agg_rx_.tier < tm_tier_.size()) {
-      tm_tier_[agg_rx_.tier].rx_events->add();
-      tm_tier_[agg_rx_.tier].rx_bytes->add(event.payload_size());
-    }
+    count_tier(agg_rx_.tier, /*rx=*/true, event.payload_size());
     note_render(event, config_.monitor_channel, nullptr);
-    const double cycles = config_.overheads.procfs_update_cycles_per_event;
-    charge(cycles);
-    handler_cost_ += seconds(cycles / host_.cpu().config().clock_hz);
+    charge_intake();
     return;
   }
   if (hier_ && op == kOpDrillRequest) {
     // Root intake of a subscriber's drill subscription.
-    const net::NodeId requester = r.u32();
-    const net::NodeId target = r.u32();
-    const bool enable = r.u8() != 0;
-    const std::uint32_t ttl = r.u32();
-    if (!r.ok()) return;
-    if (ZoneDuty* root = duty_of(config_.hierarchy_layout->root().id)) {
-      const SimTime expiry =
-          host_.engine().now() + config_.poll_period * static_cast<double>(ttl);
-      apply_drill(*root, requester, target, enable, expiry);
-    }
+    take_drill_request(r, std::nullopt);
     return;
   }
   if (hier_ && op == kOpDrillData) {
@@ -898,15 +912,9 @@ void DMon::on_monitor_event(const kecho::Event& event) {
                    << ": malformed drill data from " << event.source;
       return;
     }
-    Peer& peer = ensure_peer(origin);
-    peer.last_update = host_.engine().now();
-    peer.has_data = true;
-    peer.dead = false;
-    apply_batch_to_peer(peer, rx_batch_, event.trace.trace_id);
+    apply_batch_to_peer(refresh_peer(origin), rx_batch_, event.trace.trace_id);
     if (tm_hier_drill_data_ != nullptr) tm_hier_drill_data_->add();
-    const double cycles = config_.overheads.procfs_update_cycles_per_event;
-    charge(cycles);
-    handler_cost_ += seconds(cycles / host_.cpu().config().clock_hz);
+    charge_intake();
     return;
   }
   if (op != kOpMonitor && op != kOpMonitorBatch) return;
@@ -916,13 +924,7 @@ void DMon::on_monitor_event(const kecho::Event& event) {
     return;
   }
 
-  Peer& peer = ensure_peer(event.source);
-  // Any event is a sign of life: refresh the staleness clock and clear a
-  // possibly spurious eviction.
-  peer.last_update = host_.engine().now();
-  peer.has_data = true;
-  peer.dead = false;
-
+  Peer& peer = refresh_peer(event.source);
   if (op == kOpMonitor) {
     const std::uint32_t count = r.u32();
     for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
@@ -938,9 +940,7 @@ void DMon::on_monitor_event(const kecho::Event& event) {
     apply_batch_to_peer(peer, rx_batch_, event.trace.trace_id);
   }
   note_render(event, config_.monitor_channel, &peer);
-  const double cycles = config_.overheads.procfs_update_cycles_per_event;
-  charge(cycles);
-  handler_cost_ += seconds(cycles / host_.cpu().config().clock_hz);
+  charge_intake();
 }
 
 void DMon::on_control_event(const kecho::Event& event) {
@@ -998,9 +998,7 @@ void DMon::on_interest_event(const kecho::Event& event, net::ByteReader& r) {
   }
   // Storing the declaration is its render hop: it became effective.
   note_render(event, config_.control_channel, nullptr);
-  const double cycles = config_.overheads.procfs_update_cycles_per_event;
-  charge(cycles);
-  handler_cost_ += seconds(cycles / host_.cpu().config().clock_hz);
+  charge_intake();
 }
 
 Status DMon::declare_interest(std::vector<std::string> modules) {
@@ -1179,9 +1177,13 @@ void DMon::submit_batch(std::vector<MetricSample>& sorted, PollRecord& record) {
     interest_bytes_saved_ += saved;
     tm_bytes_saved_.add(saved);
   }
+  count_batch_submit(record);
+}
+
+void DMon::count_batch_submit(PollRecord& record) {
   ++record.events_submitted;
   tm_batch_submits_.add();
-  tm_batch_samples_.add(batch.entries.size());
+  tm_batch_samples_.add(batch_scratch_.entries.size());
   if (record.keyframe) tm_batch_keyframes_.add();
 }
 
@@ -1220,7 +1222,10 @@ kecho::Channel* DMon::join_zone_channel(std::uint32_t zone_id) {
   return &channel;
 }
 
-void DMon::start_hierarchy() {
+bool DMon::start_hierarchy() {
+  if (!config_.hierarchy.enabled || config_.hierarchy_layout == nullptr) {
+    return false;
+  }
   const HierarchyLayout& layout = *config_.hierarchy_layout;
   const std::size_t self = nic_.node();
   if (self >= layout.node_count()) {
@@ -1228,13 +1233,7 @@ void DMon::start_hierarchy() {
     // rather than publishing into zones nobody aggregates.
     DPROC_WARN() << "dmon " << self
                  << ": node outside the hierarchy layout; running flat";
-    monitor_channel_ = &kecho_.join(config_.monitor_channel);
-    monitor_channel_->set_handler(
-        [this](const kecho::Event& event) { on_monitor_event(event); });
-    control_channel_ = &kecho_.join(config_.control_channel);
-    control_channel_->set_handler(
-        [this](const kecho::Event& event) { on_control_event(event); });
-    return;
+    return false;
   }
   hier_ = true;
   leaf_zone_ = &layout.leaf_of(self);
@@ -1256,16 +1255,7 @@ void DMon::start_hierarchy() {
   // Summary membership: subscribers (to read) and root candidates (to
   // publish and to take drill requests). The control channel stays
   // subscriber-scoped — zone traffic never rides it.
-  if (subscriber || root_candidate) {
-    monitor_channel_ = &kecho_.join(config_.monitor_channel);
-    monitor_channel_->set_handler(
-        [this](const kecho::Event& event) { on_monitor_event(event); });
-  }
-  if (subscriber) {
-    control_channel_ = &kecho_.join(config_.control_channel);
-    control_channel_->set_handler(
-        [this](const kecho::Event& event) { on_control_event(event); });
-  }
+  join_flat_channels(subscriber || root_candidate, subscriber);
 
   duties_.clear();
   for (const std::uint32_t zid : duty_ids) {
@@ -1280,18 +1270,26 @@ void DMon::start_hierarchy() {
 
   tm_tier_.clear();
   tm_tier_.resize(layout.tiers());
+  telemetry::Registry& tm = host_.telemetry();
   for (std::uint32_t tier = 0; tier < layout.tiers(); ++tier) {
     const std::string prefix = "t" + std::to_string(tier) + "_";
-    telemetry::Registry& tm = host_.telemetry();
     tm_tier_[tier].tx_events = &tm.counter("hier", prefix + "tx_events");
     tm_tier_[tier].tx_bytes = &tm.counter("hier", prefix + "tx_bytes");
     tm_tier_[tier].rx_events = &tm.counter("hier", prefix + "rx_events");
     tm_tier_[tier].rx_bytes = &tm.counter("hier", prefix + "rx_bytes");
   }
-  tm_hier_rollups_ = &host_.telemetry().counter("hier", "rollup_publishes");
-  tm_hier_drill_req_ = &host_.telemetry().counter("hier", "drill_requests");
-  tm_hier_drill_data_ = &host_.telemetry().counter("hier", "drill_data_frames");
+  tm_hier_rollups_ = &tm.counter("hier", "rollup_publishes");
+  tm_hier_drill_req_ = &tm.counter("hier", "drill_requests");
+  tm_hier_drill_data_ = &tm.counter("hier", "drill_data_frames");
   register_hier_files();
+  return true;
+}
+
+void DMon::count_tier(std::size_t tier, bool rx, std::uint64_t bytes) {
+  if (tier >= tm_tier_.size()) return;
+  const TierTelemetry& t = tm_tier_[tier];
+  (rx ? t.rx_events : t.tx_events)->add();
+  (rx ? t.rx_bytes : t.tx_bytes)->add(bytes);
 }
 
 void DMon::register_hier_files() {
@@ -1397,21 +1395,13 @@ void DMon::on_zone_event(std::uint32_t zone_id, const kecho::Event& event) {
       return;
     }
     duty->rollup.update_origin(event.source, rx_batch_, now);
-    if (!tm_tier_.empty()) {
-      tm_tier_[0].rx_events->add();
-      tm_tier_[0].rx_bytes->add(event.payload_size());
-    }
+    count_tier(0, /*rx=*/true, event.payload_size());
     // The aggregator's own procfs view of its zone mates stays live.
-    Peer& peer = ensure_peer(event.source);
-    peer.last_update = now;
-    peer.has_data = true;
-    peer.dead = false;
+    Peer& peer = refresh_peer(event.source);
     apply_batch_to_peer(peer, rx_batch_, event.trace.trace_id);
     note_render(event, config_.monitor_channel, &peer);
     maybe_forward_drill(*duty, event.source, rx_batch_, nullptr);
-    const double cycles = config_.overheads.procfs_update_cycles_per_event;
-    charge(cycles);
-    handler_cost_ += seconds(cycles / host_.cpu().config().clock_hz);
+    charge_intake();
     return;
   }
   if (op == kOpAggregate) {
@@ -1433,30 +1423,14 @@ void DMon::on_zone_event(std::uint32_t zone_id, const kecho::Event& event) {
       return;
     }
     duty->rollup.update_child(agg_rx_, now);
-    if (agg_rx_.tier < tm_tier_.size()) {
-      tm_tier_[agg_rx_.tier].rx_events->add();
-      tm_tier_[agg_rx_.tier].rx_bytes->add(event.payload_size());
-    }
-    const double cycles = config_.overheads.procfs_update_cycles_per_event;
-    charge(cycles);
-    handler_cost_ += seconds(cycles / host_.cpu().config().clock_hz);
+    count_tier(agg_rx_.tier, /*rx=*/true, event.payload_size());
+    charge_intake();
     return;
   }
   if (op == kOpDrillRequest) {
     // Downward propagation: a request on channel(p) is for the duties
     // whose parent is p (the zone that forwarded it).
-    const net::NodeId requester = r.u32();
-    const net::NodeId target = r.u32();
-    const bool enable = r.u8() != 0;
-    const std::uint32_t ttl = r.u32();
-    if (!r.ok()) return;
-    const SimTime expiry =
-        now + config_.poll_period * static_cast<double>(ttl);
-    for (ZoneDuty& duty : duties_) {
-      if (duty.zone->parent && *duty.zone->parent == zone_id) {
-        apply_drill(duty, requester, target, enable, expiry);
-      }
-    }
+    take_drill_request(r, zone_id);
     return;
   }
   if (op == kOpDrillData) {
@@ -1470,8 +1444,7 @@ void DMon::on_zone_event(std::uint32_t zone_id, const kecho::Event& event) {
                    << ": malformed drill relay from " << event.source;
       return;
     }
-    send_drill_up(*duty, origin, encode_drill_data(origin, rx_batch_),
-                  nullptr);
+    send_drill_up(*duty, origin, rx_batch_, nullptr);
     return;
   }
 }
@@ -1498,14 +1471,8 @@ void DMon::submit_hier(std::vector<MetricSample>& sorted, PollRecord& record) {
   const net::MessagePtr frame = encode_batch_event(batch_scratch_);
   record.submit_cost += channel->submit_to(
       static_cast<net::NodeId>(*act), frame, begin_trace(channel->id()));
-  ++record.events_submitted;
-  tm_batch_submits_.add();
-  tm_batch_samples_.add(batch_scratch_.entries.size());
-  if (record.keyframe) tm_batch_keyframes_.add();
-  if (!tm_tier_.empty()) {
-    tm_tier_[0].tx_events->add();
-    tm_tier_[0].tx_bytes->add(frame->size());
-  }
+  count_batch_submit(record);
+  count_tier(0, /*rx=*/false, frame->size());
 }
 
 void DMon::publish_rollups(PollRecord& record) {
@@ -1543,9 +1510,20 @@ void DMon::publish_rollups(PollRecord& record) {
     const net::MessagePtr frame = encode_aggregate_event(agg_scratch_);
     record.submit_cost += up->submit(frame, begin_trace(up->id()));
     ++record.events_submitted;
-    if (duty.zone->tier < tm_tier_.size()) {
-      tm_tier_[duty.zone->tier].tx_events->add();
-      tm_tier_[duty.zone->tier].tx_bytes->add(frame->size());
+    count_tier(duty.zone->tier, /*rx=*/false, frame->size());
+  }
+}
+
+void DMon::take_drill_request(net::ByteReader& r,
+                              std::optional<std::uint32_t> parent) {
+  DrillRequest req;
+  if (!decode_drill_request(r, req)) return;
+  const SimTime expiry = host_.engine().now() +
+                         config_.poll_period *
+                             static_cast<double>(req.ttl_periods);
+  for (ZoneDuty& duty : duties_) {
+    if (duty.zone->parent == parent) {
+      apply_drill(duty, req.requester, req.target, req.enable, expiry);
     }
   }
 }
@@ -1620,7 +1598,7 @@ Status DMon::drill_down(net::NodeId target, bool enable) {
 }
 
 void DMon::send_drill_up(ZoneDuty& duty, net::NodeId origin,
-                         const net::MessagePtr& frame, PollRecord* record) {
+                         const net::MonitorBatch& batch, PollRecord* record) {
   const std::size_t self = nic_.node();
   if (!duty.zone->parent) {
     // Root: deliver to the live requesters over the summary channel.
@@ -1643,20 +1621,11 @@ void DMon::send_drill_up(ZoneDuty& duty, net::NodeId origin,
     }
     if (self_wants) {
       // The acting root drilled the target itself: apply locally.
-      net::ByteReader r{std::span<const std::uint8_t>{frame->header}};
-      r.u8();
-      r.u32();
-      net::MonitorBatch batch;
-      if (net::MonitorBatch::decode(r, batch)) {
-        Peer& peer = ensure_peer(origin);
-        peer.last_update = now;
-        peer.has_data = true;
-        peer.dead = false;
-        apply_batch_to_peer(peer, batch, 0);
-      }
+      apply_batch_to_peer(refresh_peer(origin), batch, 0);
     }
     if (monitor_channel_ != nullptr && monitor_channel_->ready()) {
       const auto& reqs = requesters;
+      const net::MessagePtr frame = encode_drill_data(origin, batch);
       const SimDuration cost = monitor_channel_->submit_to_each(
           [&reqs, &frame](net::NodeId member) -> net::MessagePtr {
             return reqs.find(member) != reqs.end() ? frame : nullptr;
@@ -1673,14 +1642,14 @@ void DMon::send_drill_up(ZoneDuty& duty, net::NodeId origin,
   if (!act) return;
   if (*act == self) {
     if (ZoneDuty* parent = duty_of(*duty.zone->parent)) {
-      send_drill_up(*parent, origin, frame, record);
+      send_drill_up(*parent, origin, batch, record);
     }
     return;
   }
   kecho::Channel* up = duty.parent_channel;
   if (up == nullptr || !up->ready()) return;
-  const SimDuration cost =
-      up->submit_to(static_cast<net::NodeId>(*act), frame);
+  const SimDuration cost = up->submit_to(static_cast<net::NodeId>(*act),
+                                         encode_drill_data(origin, batch));
   if (record != nullptr) {
     record->submit_cost += cost;
     ++record->events_submitted;
@@ -1705,7 +1674,7 @@ void DMon::maybe_forward_drill(ZoneDuty& leaf_duty, net::NodeId origin,
     leaf_duty.drills.erase(it);
     return;
   }
-  send_drill_up(leaf_duty, origin, encode_drill_data(origin, batch), record);
+  send_drill_up(leaf_duty, origin, batch, record);
 }
 
 void DMon::prune_drills(SimTime now) {
@@ -1805,11 +1774,13 @@ PollRecord DMon::poll() {
   charge(config_.overheads.filter_exec_cycles_per_insn *
          static_cast<double>(decision.filter_instructions));
 
+  // Filters may emit metrics in any order; per-module grouping and batch
+  // encoding need ascending ids.
+  std::sort(decision.to_send.begin(), decision.to_send.end(),
+            [](const MetricSample& a, const MetricSample& b) {
+              return a.id < b.id;
+            });
   if (hier_) {
-    std::sort(decision.to_send.begin(), decision.to_send.end(),
-              [](const MetricSample& a, const MetricSample& b) {
-                return a.id < b.id;
-              });
     submit_hier(decision.to_send, record);
     prune_drills(host_.engine().now());
     publish_rollups(record);
@@ -1820,12 +1791,6 @@ PollRecord DMon::poll() {
     }
   } else if (monitor_channel_ != nullptr && monitor_channel_->ready() &&
              monitor_channel_->remote_member_count() > 0) {
-    // Filters may emit metrics in any order; per-module grouping and batch
-    // encoding need ascending ids.
-    std::sort(decision.to_send.begin(), decision.to_send.end(),
-              [](const MetricSample& a, const MetricSample& b) {
-                return a.id < b.id;
-              });
     if (config_.batch.enabled) {
       submit_batch(decision.to_send, record);
     } else {

@@ -9,18 +9,18 @@
 namespace dproc::core {
 
 double MetricHistory::window_sum(std::size_t window) const {
-  const std::size_t n = std::min(window, size_);
+  const std::size_t n = std::min(window, size());
   double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) sum += at(size_ - 1 - i);
+  for (std::size_t i = 0; i < n; ++i) sum += at(size() - 1 - i);
   return sum;
 }
 
 double MetricHistory::window_active(std::size_t window) const {
-  const std::size_t n = std::min(window, size_);
+  const std::size_t n = std::min(window, size());
   if (n == 0) return 0.0;
   std::size_t active = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (at(size_ - 1 - i) != 0.0) ++active;
+    if (at(size() - 1 - i) != 0.0) ++active;
   }
   return static_cast<double>(active) / static_cast<double>(n);
 }

@@ -35,6 +35,9 @@ net::MessagePtr encode_event(ChannelId channel, net::NodeId source,
   return net::make_message(w.take(), payload->body_bytes);
 }
 
+/// What a selector returns for a member it skips.
+const net::MessagePtr kNoPayload;
+
 }  // namespace
 
 // Zero-copy decode: validates the frame and records where the payload
@@ -73,31 +76,48 @@ const net::TraceContext* Channel::stamp_submit(net::TraceContext& trace) {
   return &trace;
 }
 
-SimDuration Channel::submit(const net::MessagePtr& payload,
-                            net::TraceContext trace) {
-  const net::TraceContext* const stamped = stamp_submit(trace);
+template <typename Select>
+SimDuration Channel::send_each(const Select& select, net::TraceContext trace) {
   ++submitted_;
-  const KechoCosts& costs = node_.costs();
   const SimTime now = node_.host().engine().now();
-  const net::MessagePtr frame =
-      encode_event(id_, node_.nic().node(), now, payload, stamped);
-  // Every member is charged the same marshalling cost for the same frame;
-  // compute it once outside the fan-out loop.
-  const double per_member_cycles =
-      costs.submit_base_cycles +
-      costs.submit_per_byte_cycles * static_cast<double>(frame->size());
+  const net::TraceContext* stamped = nullptr;
   for (const Member& member : members_) {
-    if (transport_ == ChannelTransport::kDatagram) {
-      node_.nic().send_datagram(member.node, Node::kDatagramEventPort, frame,
-                                Node::kDatagramEventPort);
-    } else {
-      node_.transport_to(member.node)->send(frame);
+    auto&& payload = select(member.node);
+    if (payload == nullptr) continue;  // member opted out of this event
+    // One wire frame per distinct payload, shared by every member that
+    // selected it. The common case is one payload per interest group, so
+    // the cache is a short linear scan keyed by payload identity.
+    auto sent = std::find_if(frames_.begin(), frames_.end(),
+                             [&payload](const SentFrame& f) {
+                               return f.payload == payload;
+                             });
+    if (sent == frames_.end()) {
+      // The submit hop goes with the first frame encoded: a submission
+      // that reaches nobody leaves no hop behind.
+      if (frames_.empty()) stamped = stamp_submit(trace);
+      frames_.push_back(SentFrame{
+          payload, encode_event(id_, node_.nic().node(), now, payload, stamped),
+          0});
+      sent = frames_.end() - 1;
     }
+    ++sent->members;
+    if (transport_ == ChannelTransport::kDatagram) {
+      node_.nic().send_datagram(member.node, Node::kDatagramEventPort,
+                                sent->frame, Node::kDatagramEventPort);
+    } else {
+      node_.transport_to(member.node)->send(sent->frame);
+    }
+    if (node_.liveness_.enabled) node_.note_submission(member.node, now);
   }
-  if (node_.liveness_.enabled && !members_.empty()) {
-    node_.note_submission(members_);
+  const KechoCosts& costs = node_.costs();
+  double cycles = 0.0;
+  for (const SentFrame& f : frames_) {
+    cycles += (costs.submit_base_cycles +
+               costs.submit_per_byte_cycles *
+                   static_cast<double>(f.frame->size())) *
+              static_cast<double>(f.members);
   }
-  const double cycles = per_member_cycles * static_cast<double>(members_.size());
+  frames_.clear();
   const SimDuration cost =
       seconds(cycles / node_.host().cpu().config().clock_hz);
   if (cost > SimDuration::zero()) node_.host().cpu().consume_kernel(cost);
@@ -109,90 +129,31 @@ SimDuration Channel::submit(const net::MessagePtr& payload,
   return cost;
 }
 
+SimDuration Channel::submit(const net::MessagePtr& payload,
+                            net::TraceContext trace) {
+  return send_each(
+      [&payload](net::NodeId) -> const net::MessagePtr& { return payload; },
+      trace);
+}
+
 SimDuration Channel::submit_to(net::NodeId member,
                                const net::MessagePtr& payload,
                                net::TraceContext trace) {
-  const net::TraceContext* const stamped = stamp_submit(trace);
-  ++submitted_;
-  const Member* target = nullptr;
-  for (const Member& m : members_) {
-    if (m.node == member) {
-      target = &m;
-      break;
-    }
+  if (std::none_of(members_.begin(), members_.end(),
+                   [member](const Member& m) { return m.node == member; })) {
+    ++submitted_;  // counted, but the frame would reach nobody
+    return SimDuration::zero();
   }
-  if (target == nullptr) return SimDuration::zero();  // not (yet) a member
-  const KechoCosts& costs = node_.costs();
-  const SimTime now = node_.host().engine().now();
-  const net::MessagePtr frame =
-      encode_event(id_, node_.nic().node(), now, payload, stamped);
-  if (transport_ == ChannelTransport::kDatagram) {
-    node_.nic().send_datagram(target->node, Node::kDatagramEventPort, frame,
-                              Node::kDatagramEventPort);
-  } else {
-    node_.transport_to(target->node)->send(frame);
-  }
-  if (node_.liveness_.enabled) {
-    // Only the targeted member got a frame; only its heartbeat suppresses.
-    single_member_scratch_.assign(1, *target);
-    node_.note_submission(single_member_scratch_);
-  }
-  const double cycles =
-      costs.submit_base_cycles +
-      costs.submit_per_byte_cycles * static_cast<double>(frame->size());
-  const SimDuration cost =
-      seconds(cycles / node_.host().cpu().config().clock_hz);
-  if (cost > SimDuration::zero()) node_.host().cpu().consume_kernel(cost);
-  node_.tm_submits_.add();
-  node_.tm_submit_us_.record(cost);
-  node_.host().telemetry().record_span("kecho", "submit", now, now + cost);
-  return cost;
+  return send_each(
+      [member, &payload](net::NodeId node) -> const net::MessagePtr& {
+        return node == member ? payload : kNoPayload;
+      },
+      trace);
 }
 
 SimDuration Channel::submit_to_each(const PayloadSelector& select,
                                     net::TraceContext trace) {
-  const net::TraceContext* const stamped = stamp_submit(trace);
-  ++submitted_;
-  const KechoCosts& costs = node_.costs();
-  const SimTime now = node_.host().engine().now();
-  // One wire frame per *distinct* payload, shared by every member that
-  // selected it — the common case is one payload per interest group, so
-  // the cache is a short linear scan keyed by payload identity.
-  std::vector<std::pair<const net::Message*, net::MessagePtr>> frames;
-  std::vector<Member> sent;
-  double cycles = 0.0;
-  for (const Member& member : members_) {
-    const net::MessagePtr payload = select(member.node);
-    if (payload == nullptr) continue;  // member opted out of this event
-    net::MessagePtr frame;
-    for (const auto& [key, cached] : frames) {
-      if (key == payload.get()) {
-        frame = cached;
-        break;
-      }
-    }
-    if (frame == nullptr) {
-      frame = encode_event(id_, node_.nic().node(), now, payload, stamped);
-      frames.emplace_back(payload.get(), frame);
-    }
-    if (transport_ == ChannelTransport::kDatagram) {
-      node_.nic().send_datagram(member.node, Node::kDatagramEventPort, frame,
-                                Node::kDatagramEventPort);
-    } else {
-      node_.transport_to(member.node)->send(frame);
-    }
-    cycles += costs.submit_base_cycles +
-              costs.submit_per_byte_cycles * static_cast<double>(frame->size());
-    if (node_.liveness_.enabled) sent.push_back(member);
-  }
-  if (node_.liveness_.enabled && !sent.empty()) node_.note_submission(sent);
-  const SimDuration cost =
-      seconds(cycles / node_.host().cpu().config().clock_hz);
-  if (cost > SimDuration::zero()) node_.host().cpu().consume_kernel(cost);
-  node_.tm_submits_.add();
-  node_.tm_submit_us_.record(cost);
-  node_.host().telemetry().record_span("kecho", "submit", now, now + cost);
-  return cost;
+  return send_each(select, trace);
 }
 
 std::size_t Channel::remote_member_count() const { return members_.size(); }
@@ -474,12 +435,9 @@ void Node::notify_membership(MemberEventKind kind, net::NodeId node) {
   }
 }
 
-void Node::note_submission(const std::vector<Member>& members) {
-  const SimTime now = host_.engine().now();
-  for (const Member& member : members) {
-    auto it = peer_liveness_.find(member.node);
-    if (it != peer_liveness_.end()) it->second.last_sent = now;
-  }
+void Node::note_submission(net::NodeId peer, SimTime now) {
+  auto it = peer_liveness_.find(peer);
+  if (it != peer_liveness_.end()) it->second.last_sent = now;
 }
 
 void Node::announce_leave() {

@@ -152,12 +152,12 @@ Registry::Registry(const sim::Engine* clock, std::size_t span_capacity,
       hop_capacity_(hop_capacity == 0 ? 1 : hop_capacity) {}
 
 void Registry::set_enabled(bool enabled) {
-  if (enabled && spans_.empty()) spans_.resize(span_capacity_);
+  if (enabled && spans_.capacity() == 0) spans_.reset(span_capacity_);
   enabled_ = enabled;
 }
 
 void Registry::set_trace_enabled(bool enabled) {
-  if (enabled && hops_.empty()) hops_.resize(hop_capacity_);
+  if (enabled && hops_.capacity() == 0) hops_.reset(hop_capacity_);
   trace_enabled_ = enabled;
 }
 
@@ -204,45 +204,23 @@ InstrumentId Registry::latency_id(const std::string& subsystem,
 void Registry::record_span(const char* category, const char* name,
                            SimTime start, SimTime end) {
   if (!enabled_) return;
-  Span& slot = spans_[(span_head_ + span_size_) % spans_.size()];
-  slot = Span{category, name, start.ns(), end.ns()};
-  if (span_size_ == spans_.size()) {
-    span_head_ = (span_head_ + 1) % spans_.size();
+  if (spans_.push(Span{category, name, start.ns(), end.ns()})) {
     ++spans_dropped_;
-  } else {
-    ++span_size_;
   }
 }
 
-const Span& Registry::span(std::size_t i) const {
-  return spans_[(span_head_ + i) % spans_.size()];
-}
-
 void Registry::clear_spans() {
-  span_head_ = 0;
-  span_size_ = 0;
+  spans_.clear();
   spans_dropped_ = 0;
 }
 
 void Registry::record_hop(const Hop& hop) {
   if (!trace_enabled_) return;
-  Hop& slot = hops_[(hop_head_ + hop_size_) % hops_.size()];
-  slot = hop;
-  if (hop_size_ == hops_.size()) {
-    hop_head_ = (hop_head_ + 1) % hops_.size();
-    ++hops_dropped_;
-  } else {
-    ++hop_size_;
-  }
-}
-
-const Hop& Registry::hop(std::size_t i) const {
-  return hops_[(hop_head_ + i) % hops_.size()];
+  if (hops_.push(hop)) ++hops_dropped_;
 }
 
 void Registry::clear_hops() {
-  hop_head_ = 0;
-  hop_size_ = 0;
+  hops_.clear();
   hops_dropped_ = 0;
 }
 
@@ -287,9 +265,9 @@ std::string Registry::render() const {
     }
     out << "\n";
   }
-  out << "spans " << span_size_ << "/" << span_capacity_ << " dropped "
+  out << "spans " << spans_.size() << "/" << span_capacity_ << " dropped "
       << spans_dropped_ << "\n";
-  out << "hops " << hop_size_ << "/" << hop_capacity_ << " dropped "
+  out << "hops " << hops_.size() << "/" << hop_capacity_ << " dropped "
       << hops_dropped_ << " tracing "
       << (trace_enabled_ ? "enabled" : "disabled") << "\n";
   return out.str();
@@ -301,15 +279,15 @@ void Registry::append_chrome_trace_events(std::string& out, int pid,
   for (const auto& [category, tid] : lanes) {
     append_thread_name_event(out, pid, tid, category, first);
   }
-  if (hop_size_ > 0) {
+  if (hops_.size() > 0) {
     append_thread_name_event(out, pid, kFlowLaneTid, "trace", first);
   }
-  for (std::size_t i = 0; i < span_size_; ++i) {
-    const Span& s = span(i);
+  for (std::size_t i = 0; i < spans_.size(); ++i) {
+    const Span& s = spans_[i];
     append_complete_event(out, s, pid, lane_of(lanes, s.category), first);
   }
-  for (std::size_t i = 0; i < hop_size_; ++i) {
-    append_flow_event(out, hop(i), pid, first);
+  for (std::size_t i = 0; i < hops_.size(); ++i) {
+    append_flow_event(out, hops_[i], pid, first);
   }
 }
 

@@ -396,7 +396,7 @@ TEST(Vm, SampleOperandAsJumpConditionIsInvalidArgument) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
-// --- limits and pooling -----------------------------------------------------
+// --- limits -----------------------------------------------------------------
 
 TEST(Vm, ConstructorClampsInstructionLimitToHardCeiling) {
   // The fuel counter is only checked at control-flow edges; a limit near
@@ -405,26 +405,6 @@ TEST(Vm, ConstructorClampsInstructionLimitToHardCeiling) {
   EXPECT_EQ(vm.limits().max_instructions, VmLimits::kMaxInstructionLimit);
   Vm sane{VmLimits{.max_instructions = 500}};
   EXPECT_EQ(sane.limits().max_instructions, 500u);
-}
-
-TEST(Vm, PooledEvalMatchesDirectRun) {
-  auto filter = Filter::compile("output[0] = input[0]; return 9;");
-  ASSERT_TRUE(filter.is_ok());
-  VmPool pool;
-  std::vector<Sample> input{{3, 2.5, 1.0, 77}};
-  {
-    auto lease = filter.value().eval(pool, input);
-    ASSERT_TRUE(lease.is_ok()) << lease.status().to_string();
-    EXPECT_DOUBLE_EQ(lease.value().result().return_value.value_or(0), 9.0);
-    ASSERT_EQ(lease.value().result().outputs.size(), 1u);
-    EXPECT_EQ(lease.value().result().outputs[0].second, input[0]);
-    EXPECT_EQ(pool.created(), 1u);
-  }
-  {
-    auto again = filter.value().eval(pool, input);
-    ASSERT_TRUE(again.is_ok());
-  }
-  EXPECT_EQ(pool.created(), 1u);  // the slot was recycled, not regrown
 }
 
 TEST(Vm, DisassemblyNonEmpty) {

@@ -187,6 +187,31 @@ TEST_F(KechoTest, SubmitChargesKernelCpuPerSubscriber) {
   EXPECT_NEAR(cost3.us(), cost.us() * 1.5, cost.us() * 0.01);
 }
 
+TEST_F(KechoTest, SubmitThatReachesNobodyStampsNoHop) {
+  Channel& pub = nodes[0]->join("monitor");
+  nodes[1]->join("monitor");
+  settle();
+  ASSERT_EQ(pub.members().size(), 1u);
+  telemetry::Registry& tm = hosts[0]->telemetry();
+  tm.set_trace_enabled(true);
+  net::TraceContext trace;
+  trace.trace_id = (std::uint64_t{nics[0]->node()} << 32) | 1;
+  trace.origin = nics[0]->node();
+  const net::MessagePtr payload = net::make_message({1, 2, 3});
+
+  // Node 2 never joined: the frame would reach nobody, so no hop either.
+  EXPECT_EQ(pub.submit_to(nics[2]->node(), payload, trace),
+            SimDuration::zero());
+  EXPECT_EQ(tm.hop_count(), 0u);
+  pub.submit_to_each([](net::NodeId) { return net::MessagePtr{}; }, trace);
+  EXPECT_EQ(tm.hop_count(), 0u);
+
+  // A frame that does go out stamps exactly one submit hop.
+  pub.submit_to(nics[1]->node(), payload, trace);
+  ASSERT_EQ(tm.hop_count(), 1u);
+  EXPECT_EQ(tm.hop(0).stage, telemetry::HopStage::kSubmit);
+}
+
 TEST_F(KechoTest, ReceiveCostScalesWithEventSize) {
   Channel& pub = nodes[0]->join("monitor");
   nodes[1]->join("monitor");
@@ -465,6 +490,112 @@ TEST_F(KechoLivenessTest, RestartAfterEvictionReconvergesWithoutDuplicates) {
       }
     }
   }
+}
+
+TEST_F(KechoLivenessTest, SubmitVariantsSendChargeAndPiggybackPerMember) {
+  join_all("monitor");
+  Channel& pub = *channels[0];
+  ASSERT_EQ(pub.members().size(), kNodes - 1);
+  const net::NodeId n2 = ids[2];
+  std::vector<std::vector<net::MessagePtr>> got(kNodes);
+  for (std::size_t i = 1; i < kNodes; ++i) {
+    channels[i]->set_handler(
+        [&got, i](const Event& event) { got[i].push_back(event.frame); });
+  }
+  const KechoCosts costs;
+  const double clock_hz = hosts[0]->cpu().config().clock_hz;
+  auto cycles_of = [&costs](const net::MessagePtr& frame) {
+    return costs.submit_base_cycles +
+           costs.submit_per_byte_cycles * static_cast<double>(frame->size());
+  };
+
+  // Each round submits 50 ms after a heartbeat tick (ticks fall on
+  // multiples of 200 ms) and runs across exactly one more tick. A member
+  // sent a frame is heard from 150 ms before that tick, so its heartbeat
+  // is suppressed; every other peer gets one.
+  double t = 1.05;
+  struct Round {
+    SimDuration cost;
+    SimDuration charged;
+    std::uint64_t heartbeats = 0;
+  };
+  auto round = [&](const std::function<SimDuration()>& submit) {
+    engine.run_until(SimTime{} + seconds(t));
+    for (auto& frames : got) frames.clear();
+    const std::uint64_t hb_before = nodes[0]->heartbeats_sent();
+    const SimDuration cpu_before = hosts[0]->cpu().kernel_cpu_time();
+    Round r;
+    r.cost = submit();
+    r.charged = hosts[0]->cpu().kernel_cpu_time() - cpu_before;
+    t += 0.2;
+    engine.run_until(SimTime{} + seconds(t));
+    r.heartbeats = nodes[0]->heartbeats_sent() - hb_before;
+    for (std::size_t i = 1; i < kNodes; ++i) nodes[i]->poll();
+    return r;
+  };
+  auto cost_of = [clock_hz](double cycles) {
+    return seconds(cycles / clock_hz);
+  };
+
+  const net::MessagePtr a = net::make_message({1, 2, 3}, 100);
+  const net::MessagePtr b = net::make_message({4, 5, 6, 7, 8}, 700);
+
+  // Per-member selection: n1 and n3 choose `a`, n2 is skipped.
+  Round r = round([&] {
+    return pub.submit_to_each([&](net::NodeId m) -> net::MessagePtr {
+      return m == n2 ? nullptr : a;
+    });
+  });
+  ASSERT_EQ(got[1].size(), 1u);
+  ASSERT_EQ(got[3].size(), 1u);
+  EXPECT_TRUE(got[2].empty());
+  EXPECT_EQ(got[1][0].get(), got[3][0].get()) << "one shared encoding";
+  EXPECT_EQ(r.cost, cost_of(2 * cycles_of(got[1][0])));
+  EXPECT_EQ(r.charged, r.cost);
+  EXPECT_EQ(r.heartbeats, 1u) << "only the skipped member is heartbeated";
+
+  // Two distinct payloads: two encodings, each charged per member sent.
+  r = round([&] {
+    return pub.submit_to_each([&](net::NodeId m) -> net::MessagePtr {
+      return m == n2 ? b : a;
+    });
+  });
+  ASSERT_EQ(got[1].size(), 1u);
+  ASSERT_EQ(got[2].size(), 1u);
+  ASSERT_EQ(got[3].size(), 1u);
+  EXPECT_EQ(got[1][0].get(), got[3][0].get());
+  EXPECT_NE(got[1][0].get(), got[2][0].get());
+  EXPECT_GT(got[2][0]->size(), got[1][0]->size());
+  EXPECT_EQ(r.cost,
+            cost_of(2 * cycles_of(got[1][0]) + cycles_of(got[2][0])));
+  EXPECT_EQ(r.charged, r.cost);
+  EXPECT_EQ(r.heartbeats, 0u);
+
+  // One member only.
+  r = round([&] { return pub.submit_to(n2, b); });
+  EXPECT_TRUE(got[1].empty());
+  ASSERT_EQ(got[2].size(), 1u);
+  EXPECT_TRUE(got[3].empty());
+  EXPECT_EQ(r.cost, cost_of(cycles_of(got[2][0])));
+  EXPECT_EQ(r.charged, r.cost);
+  EXPECT_EQ(r.heartbeats, 2u);
+
+  // A target that is not a member: nothing sent, nothing charged.
+  r = round([&] { return pub.submit_to(ids[0], a); });
+  for (const auto& frames : got) EXPECT_TRUE(frames.empty());
+  EXPECT_EQ(r.cost, SimDuration::zero());
+  EXPECT_EQ(r.charged, SimDuration::zero());
+  EXPECT_EQ(r.heartbeats, 3u);
+
+  // Every member: one frame shared by all three.
+  r = round([&] { return pub.submit(a); });
+  for (std::size_t i = 1; i < kNodes; ++i) {
+    ASSERT_EQ(got[i].size(), 1u) << "node " << i;
+    EXPECT_EQ(got[i][0].get(), got[1][0].get());
+  }
+  EXPECT_EQ(r.cost, cost_of(3 * cycles_of(got[1][0])));
+  EXPECT_EQ(r.charged, r.cost);
+  EXPECT_EQ(r.heartbeats, 0u);
 }
 
 TEST_F(KechoLivenessTest, JoinRetriesThroughRegistryOutage) {

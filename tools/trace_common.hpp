@@ -1,8 +1,6 @@
-// Shared command-line plumbing for the trace tools (trace_export,
-// trace_report): one option struct, one parser accepting both the new
-// flag style and trace_export's original positional form, and the cluster
-// configuration the tools run — the paper's 8-node platform with
-// self-monitoring and causal tracing switched on.
+// Command-line plumbing for tools/trace_report: the option struct, its flag
+// parser, and the cluster configuration the tool runs — the paper's 8-node
+// platform with self-monitoring and causal tracing switched on.
 #pragma once
 
 #include <cstdio>
@@ -23,19 +21,17 @@ struct TraceToolOptions {
   double slo_ms = 0.0;
 };
 
-/// Parses `--out PATH`, `--seconds S`, `--nodes N`, `--slo-ms MS`, plus the
-/// legacy positional form `[output.json] [seconds]`. Returns false (with a
-/// usage line on stderr) on malformed input.
+/// Parses `--out PATH`, `--seconds S`, `--nodes N`, `--slo-ms MS`. Returns
+/// false (with a usage line on stderr) on malformed input.
 inline bool parse_trace_tool_args(int argc, char** argv,
                                   TraceToolOptions& opts) {
   auto usage = [&] {
     std::fprintf(stderr,
                  "usage: %s [--out PATH] [--seconds S] [--nodes N] "
-                 "[--slo-ms MS] | [output.json] [seconds]\n",
+                 "[--slo-ms MS]\n",
                  argv[0]);
     return false;
   };
-  int positional = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     auto value = [&]() -> const char* {
@@ -57,15 +53,6 @@ inline bool parse_trace_tool_args(int argc, char** argv,
       const char* v = value();
       if (v == nullptr || std::atof(v) < 0.0) return usage();
       opts.slo_ms = std::atof(v);
-    } else if (arg[0] == '-') {
-      return usage();
-    } else if (positional == 0) {
-      opts.out_path = arg;
-      ++positional;
-    } else if (positional == 1) {
-      if (std::atof(arg) <= 0.0) return usage();
-      opts.run_seconds = std::atof(arg);
-      ++positional;
     } else {
       return usage();
     }
@@ -73,7 +60,7 @@ inline bool parse_trace_tool_args(int argc, char** argv,
   return true;
 }
 
-/// Cluster configuration both tools run: `--nodes` nodes on the paper's
+/// Cluster configuration the tool runs: `--nodes` nodes on the paper's
 /// Fast Ethernet star, self-monitoring on (spans + DPROC_MON metrics) and
 /// causal tracing on (hop logs + wire trace contexts); a nonzero
 /// `--slo-ms` arms the monitoring channel's staleness watchdog.

@@ -6,7 +6,10 @@
 //    deliver → render — printed hop by hop with per-stage durations and a
 //    monotonicity check on the virtual-clock timestamps;
 //  * per-node staleness-SLO violation counts when a budget is armed;
-//  * the merged Chrome trace (spans + cross-node flow arrows) on disk.
+//  * the merged Chrome trace on disk, loadable in chrome://tracing or
+//    Perfetto (ui.perfetto.dev): one pid lane per node with per-subsystem
+//    threads, spans for the kernel CPU time the simulator charged, and
+//    cross-node flow arrows along each traced event's path.
 //
 //   $ ./trace_report [--out PATH] [--seconds S] [--nodes N] [--slo-ms MS]
 //
