@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -67,7 +68,8 @@ inline core::ClusterConfig paper_cluster(std::size_t node_count,
 }
 
 /// Applies the §4.1 monitoring configuration to every d-mon: a 1 s or 2 s
-/// update period, or the 15% differential filter.
+/// update period, or the 15% differential filter. Exits the bench when a
+/// node rejects the tuning: the figure would measure an untuned cluster.
 inline void apply_monitor_config(core::Cluster& cluster, MonitorConfig config,
                                  double differential_pct = 15.0) {
   for (std::size_t i = 0; i < cluster.size(); ++i) {
@@ -84,7 +86,12 @@ inline void apply_monitor_config(core::Cluster& cluster, MonitorConfig config,
         tuning.differential_pct = differential_pct;
         break;
     }
-    cluster.dmon(i)->apply_tuning(tuning);
+    const Status status = cluster.dmon(i)->apply_tuning(tuning);
+    if (!status) {
+      std::fprintf(stderr, "node %zu rejected the monitor config: %s\n", i,
+                   status.to_string().c_str());
+      std::exit(1);
+    }
   }
 }
 

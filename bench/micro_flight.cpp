@@ -65,7 +65,7 @@ int run() {
     });
     entries.push_back(
         entry("record_disabled", ns, iters, alloc_count() - a0));
-    g_sink += disabled.size();
+    g_sink = g_sink + disabled.size();
   }
 
   telemetry::FlightRecorder enabled;
@@ -89,7 +89,7 @@ int run() {
     });
     const std::uint64_t allocs = alloc_count() - a0;
     entries.push_back(entry("record_enabled", enabled_ns, iters, allocs));
-    g_sink += enabled.dropped();
+    g_sink = g_sink + enabled.dropped();
     if (allocs != 0) {
       std::fprintf(stderr,
                    "micro_flight: enabled record() allocated (%llu allocs)\n",

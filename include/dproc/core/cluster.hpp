@@ -74,9 +74,8 @@ struct ClusterConfig {
   /// default for the same byte-identity reason. Copied into
   /// DmonConfig::adapt for every d-mon the builder creates.
   AdaptConfig adapt{};
-  /// Hierarchical aggregation overlay: zone aggregators, roll-up
-  /// republish, drill-down. Off by default for the same byte-identity
-  /// reason. The builder constructs one HierarchyLayout for the cluster
+  /// Hierarchical aggregation overlay: zone aggregators and roll-up
+  /// republish. Off by default for the same byte-identity reason. The builder constructs one HierarchyLayout for the cluster
   /// and shares it with every d-mon. With the overlay on, peer declaration
   /// is zone-scoped (each node pre-declares only its zone mates; everyone
   /// else is learned lazily) instead of all-pairs.

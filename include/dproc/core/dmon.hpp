@@ -12,12 +12,17 @@
 //    publisher (including dynamic filter compilation);
 //  * exposes everything through procfs, including a `control` file per
 //    remote node used to deploy parameters and filters there.
+//
+// start() picks one publish route, which poll() then runs each period:
+// per-module frames, batch frames, or the zone overlay
+// (src/core/zone_overlay.cpp), which owns the overlay's channels, state
+// and files.
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -53,18 +58,16 @@ struct OverheadModel {
 /// and the benchmarks are untouched.
 struct TraceConfig {
   bool enabled = false;
-  /// End-to-end staleness budget (publish stamp → render at the consumer)
-  /// for channels without an explicit entry. Zero disables the watchdog
-  /// for such channels.
-  SimDuration default_slo = SimDuration::zero();
-  /// Per-channel-name budget overrides, e.g. {"dproc.monitor", 250 ms}.
+  /// Per-channel-name end-to-end staleness budgets (publish stamp → render
+  /// at the consumer), e.g. {"dproc.monitor", 250 ms}. A channel without
+  /// an entry, or with a zero budget, has no watchdog.
   std::vector<std::pair<std::string, SimDuration>> channel_slo;
 
   [[nodiscard]] SimDuration slo_for(const std::string& channel) const {
     for (const auto& [name, budget] : channel_slo) {
       if (name == channel) return budget;
     }
-    return default_slo;
+    return SimDuration::zero();
   }
 };
 
@@ -105,11 +108,6 @@ struct SketchConfig {
   std::size_t k = 8;
   /// Sizing of sketches built by the cluster builder's standard modules.
   SketchParams params{};
-  /// Entity population of the builder's stock per-PID TOP_K module; the
-  /// constant-space experiment sweeps this while frame bytes stay flat.
-  std::size_t process_count = 1000;
-  /// Skew of the stock module's deterministic per-PID load distribution.
-  double zipf_s = 1.2;
 };
 
 struct DmonConfig {
@@ -176,6 +174,8 @@ struct PollRecord {
   bool keyframe = false;
 };
 
+class ZoneOverlay;
+
 /// Contiguous metric-id range owned by one monitoring module.
 struct MetricRange {
   MetricId first = 0;
@@ -194,6 +194,13 @@ std::size_t group_by_range(const std::vector<MetricSample>& sorted,
 
 class DMon {
  public:
+  /// Frame ops: the first payload byte of every d-mon event.
+  /// kOpAggregate (a zone roll-up, tier-up) rides only the zone overlay.
+  enum Op : std::uint8_t {
+    kOpMonitor = 1, kOpControl = 2, kOpMonitorBatch = 3, kOpInterest = 4,
+    kOpAggregate = 5,
+  };
+
   DMon(host::Host& host, net::Nic& nic, kecho::Node& kecho,
        procfs::ProcFs& procfs, DmonConfig config = {});
   ~DMon();
@@ -218,7 +225,7 @@ class DMon {
   void restart();
 
   /// One polling iteration (normally driven by the internal timer; exposed
-  /// for tests and microbenchmarks).
+  /// for tests and microbenchmarks). Publishes nothing before start().
   PollRecord poll();
 
   // --- observation ------------------------------------------------------
@@ -312,12 +319,6 @@ class DMon {
     return health_.get();
   }
 
-  /// The sketch host deployed filters read; nullptr until a TopKMonitor is
-  /// registered with DmonConfig::sketch.enabled.
-  [[nodiscard]] FilterSketchBridge* sketch_bridge() {
-    return sketch_bridge_.get();
-  }
-
   /// Health-score trust verdict on a peer: false when the peer's published
   /// dproc_health_score (its own self-assessment, received over the
   /// monitoring channel) sits below the configured trust threshold. True
@@ -336,11 +337,6 @@ class DMon {
   /// through /proc/dproc/interest ("all" clears).
   Status declare_interest(std::vector<std::string> modules);
 
-  /// This node's current interest declaration (empty = everything).
-  [[nodiscard]] const std::vector<std::string>& local_interest() const {
-    return local_interest_;
-  }
-
   /// Publisher-side view: interest sets peers have declared to us.
   [[nodiscard]] const std::map<net::NodeId, std::vector<std::string>>&
   peer_interests() const {
@@ -351,31 +347,18 @@ class DMon {
 
   /// True when this node runs the zone overlay (enabled config + layout,
   /// after start()).
-  [[nodiscard]] bool hierarchy_active() const { return hier_; }
+  [[nodiscard]] bool hierarchy_active() const { return overlay_ != nullptr; }
 
   /// Latest root summary this node received (or built, at the acting
   /// root); nullptr before the first summary or with the overlay off.
-  [[nodiscard]] const net::AggregateBatch* cluster_summary() const {
-    return summary_valid_ ? &summary_ : nullptr;
-  }
-  [[nodiscard]] SimTime cluster_summary_at() const { return summary_at_; }
+  [[nodiscard]] const net::AggregateBatch* cluster_summary() const;
+  [[nodiscard]] SimTime cluster_summary_at() const;
 
   /// The acting aggregator this node currently derives for a zone: the
   /// first election candidate not believed dead by the local membership
   /// view. nullopt off-hierarchy or when every candidate is down.
   [[nodiscard]] std::optional<std::size_t> zone_acting(
       std::uint32_t zone_id) const;
-
-  /// Drill-down: temporarily pull `target`'s raw feed through the tree
-  /// (enable), or cancel the pull. The subscription rides the summary
-  /// channel, is re-announced every poll while active, and expires at the
-  /// aggregators drill_ttl_periods after the last refresh — so a crashed
-  /// requester's drill ages out on its own. Requires summary membership.
-  Status drill_down(net::NodeId target, bool enable);
-  /// Targets this node is currently drilling into (requester side).
-  [[nodiscard]] const std::set<net::NodeId>& drill_targets() const {
-    return local_drills_;
-  }
 
   // --- error / savings accounting (plain counters; the telemetry twins
   // --- only move when the registry is enabled) ---------------------------
@@ -393,8 +376,17 @@ class DMon {
   [[nodiscard]] std::uint64_t delta_suppressed_total() const {
     return delta_suppressed_total_;
   }
+  /// /proc files that could not be created because their path clashes
+  /// with an existing file or directory (shown in /proc/dproc/status).
+  [[nodiscard]] std::uint64_t procfs_conflicts() const {
+    return procfs_conflicts_;
+  }
+  /// Counts one failed /proc registration; warns on the first.
+  void note_procfs_conflict(const std::string& path, const Status& status);
 
  private:
+  friend class ZoneOverlay;
+
   struct ModuleEntry {
     std::unique_ptr<MonitoringModule> module;
     MetricId first_id = 0;
@@ -414,30 +406,27 @@ class DMon {
     PeerState last_state = PeerState::kLive;
   };
 
-  /// Per-zone aggregator duty: roll-up state, channel handles and
-  /// drill-down routing of one zone this node is an election candidate
-  /// for. Every node has at least its leaf-zone duty (leaf candidates are
-  /// the zone members); standby candidates keep the state warm so failover
-  /// needs no handoff protocol.
-  struct ZoneDuty {
-    const HierarchyZone* zone = nullptr;
-    ZoneRollup rollup;
-    kecho::Channel* channel = nullptr;         // channel(zone)
-    kecho::Channel* parent_channel = nullptr;  // channel(parent)/summary
-    /// Drill-down routing state: target -> (requester -> expiry).
-    std::map<net::NodeId, std::map<net::NodeId, SimTime>> drills;
-    /// Latest aggregate this node built for the zone (procfs rendering).
-    net::AggregateBatch last_built;
-    SimTime last_built_at;
-    bool last_built_valid = false;
-  };
+  static net::MessagePtr encode_batch(const net::MonitorBatch& batch);
 
+  /// A publish route: publishes the period's post-filter samples (ascending
+  /// ids) and returns the deliveries — submitted events times the members
+  /// each reached — that the collateral charge bills.
+  using PublishRoute =
+      std::function<std::size_t(std::vector<MetricSample>&, PollRecord&)>;
+
+  /// Picks this start()'s publish route and census predicate: the zone
+  /// overlay when enabled and this node lies in the layout, else the flat
+  /// channels with per-module or batch frames.
+  void choose_route();
+  /// Registers a /proc file, counting a path clash (note_procfs_conflict).
+  void register_file(const std::string& path, procfs::ProcFs::ReadHandler read,
+                     procfs::ProcFs::WriteHandler write = {});
   void on_monitor_event(const kecho::Event& event);
   void on_control_event(const kecho::Event& event);
   /// Stores a peer's interest declaration (control-channel kOpInterest).
   void on_interest_event(const kecho::Event& event, net::ByteReader& r);
   /// Legacy per-module publication (one frame per module with samples).
-  void submit_per_module(const std::vector<MetricSample>& sorted,
+  void submit_per_module(std::vector<MetricSample>& sorted,
                          PollRecord& record);
   /// Batched publication: one MonitorBatch frame per period, with delta
   /// suppression, keyframes and (optionally) interest-filtered fan-out.
@@ -448,53 +437,17 @@ class DMon {
   bool build_publish_batch(std::vector<MetricSample>& sorted,
                            PollRecord& record, net::MonitorBatch& batch);
 
-  // --- hierarchy ---------------------------------------------------------
-  /// Joins zone channels, installs handlers and registers the overlay's
-  /// procfs files, per this node's duties in the shared layout. False when
-  /// the overlay is off or this node lies outside the layout: the caller
-  /// then runs the flat stack.
-  bool start_hierarchy();
   /// Joins the flat monitoring and/or control channel and installs their
   /// handlers.
   void join_flat_channels(bool monitor, bool control);
-  kecho::Channel* join_zone_channel(std::uint32_t zone_id);
-  [[nodiscard]] ZoneDuty* duty_of(std::uint32_t zone_id);
-  [[nodiscard]] bool hier_alive(std::size_t node) const;
-  void on_zone_event(std::uint32_t zone_id, const kecho::Event& event);
-  /// Leaf publication into the zone aggregator — a single-member submit,
-  /// or a local fold (no wire frame) when this node is itself acting.
-  void submit_hier(std::vector<MetricSample>& sorted, PollRecord& record);
-  /// Aggregator duty: builds and republishes every acting zone's roll-up
-  /// to the parent tier (the root's goes to the summary channel).
-  void publish_rollups(PollRecord& record);
-  /// Records a drill subscription on `duty` and propagates it down the
-  /// tree (wire to remote child candidates, directly to own child duties).
-  void apply_drill(ZoneDuty& duty, net::NodeId requester, net::NodeId target,
-                   bool enable, SimTime expiry);
-  /// Requester side: (re-)announces a drill on the summary channel and
-  /// applies it locally when this node is itself a root candidate.
-  void send_drill_request(net::NodeId target, bool enable);
-  /// Forwards a drilled origin's raw batch one hop up the acting chain,
-  /// or to the requesters at the root (encoding the drill frame only when
-  /// one goes out).
-  void send_drill_up(ZoneDuty& duty, net::NodeId origin,
-                     const net::MonitorBatch& batch, PollRecord* record);
-  /// Drill-request intake (charges nothing): applies the request decoded
-  /// from `r` to every duty whose zone's parent is `parent` — the root
-  /// duty for a request on the summary channel (nullopt), a zone's child
-  /// duties for one relayed down that zone's channel.
-  void take_drill_request(net::ByteReader& r,
-                          std::optional<std::uint32_t> parent);
-  /// Leaf capture: wraps `batch` as drill data if `origin` is drilled.
-  void maybe_forward_drill(ZoneDuty& leaf_duty, net::NodeId origin,
-                           const net::MonitorBatch& batch, PollRecord* record);
-  void prune_drills(SimTime now);
-  void register_hier_files();
   /// Looks up (or lazily declares, from the fabric name table) the origin
   /// of a raw feed and marks it heard from now.
   Peer& refresh_peer(net::NodeId origin);
-  void apply_batch_to_peer(Peer& peer, const net::MonitorBatch& batch,
-                           std::uint64_t trace_id);
+  /// Raw-batch intake: decodes a MonitorBatch body from `r` and applies it
+  /// to the sender's peer entry (render hop, watchdog, intake charge).
+  /// The decoded batch, or nullptr when the body is malformed.
+  const net::MonitorBatch* take_raw_batch(const kecho::Event& event,
+                                          net::ByteReader& r);
   /// Re-sends the local interest declaration (no-op before the control
   /// channel is ready; errors are ignored — the next join retries).
   void broadcast_interest();
@@ -518,11 +471,8 @@ class DMon {
   /// Bills one delivered event's procfs update, counted into this poll's
   /// receive cost.
   void charge_intake();
-  /// Counts one submitted batch (batch_scratch_) into the record and the
-  /// batch telemetry.
-  void count_batch_submit(PollRecord& record);
-  /// Counts one overlay frame sent (`rx` false) or received at `tier`.
-  void count_tier(std::size_t tier, bool rx, std::uint64_t bytes);
+  /// Counts one submitted batch into the record and the batch telemetry.
+  void count_batch_submit(PollRecord& record, const net::MonitorBatch& batch);
   /// Tail of every poll(): accumulates this poll's kernel cost into the
   /// adaptation window and, at interval boundaries, runs one controller
   /// round and applies the resulting adaptive periods.
@@ -563,6 +513,15 @@ class DMon {
 
   kecho::Channel* monitor_channel_ = nullptr;
   kecho::Channel* control_channel_ = nullptr;
+  /// The route start() chose; a d-mon not yet started publishes nothing.
+  PublishRoute publish_ = [](std::vector<MetricSample>&, PollRecord&) {
+    return std::size_t{0};
+  };
+  /// The route's census predicate: whether a peer's raw feed is routed to
+  /// this node, so that its silence means staleness.
+  std::function<bool(net::NodeId)> routed_ = [](net::NodeId) { return true; };
+  /// The zone-overlay route, when start() chose it.
+  std::unique_ptr<ZoneOverlay> overlay_;
   sim::EventHandle poll_timer_;
   bool started_ = false;
 
@@ -593,46 +552,18 @@ class DMon {
 
   // --- receive/encode scratch, reused across periods so the steady state
   // --- allocates nothing (see perf_regression_test) ----------------------
-  net::MonitorBatch rx_batch_;        // on_monitor_event / on_zone_event
+  net::MonitorBatch rx_batch_;        // take_raw_batch
   net::MonitorBatch batch_scratch_;   // this period's outgoing batch
   net::MonitorBatch filtered_scratch_;  // interest-filtered variant
-  net::AggregateBatch agg_scratch_;   // outgoing roll-up
-  net::AggregateBatch agg_rx_;        // incoming roll-up
   /// Per-distinct-interest-set frame cache (cleared, capacity kept).
   std::vector<std::pair<const std::vector<std::string>*, net::MessagePtr>>
       interest_cache_;
-
-  // --- hierarchy state ---------------------------------------------------
-  bool hier_ = false;
-  const HierarchyZone* leaf_zone_ = nullptr;
-  std::vector<ZoneDuty> duties_;  // leaf duty first
-  std::map<std::uint32_t, kecho::Channel*> zone_channels_;
-  /// Nodes this d-mon believes dead (membership evictions/leaves) — the
-  /// local view the deterministic election runs against.
-  std::set<std::size_t> hier_dead_;
-  std::set<net::NodeId> local_drills_;  // requester-side drill targets
-  net::AggregateBatch summary_;         // latest root summary
-  SimTime summary_at_;
-  bool summary_valid_ = false;
-  bool hier_files_registered_ = false;
-
-  /// Per-tier overlay telemetry (indexed by the publishing zone's tier),
-  /// resolved when the overlay starts.
-  struct TierTelemetry {
-    telemetry::Counter* tx_events = nullptr;
-    telemetry::Counter* tx_bytes = nullptr;
-    telemetry::Counter* rx_events = nullptr;
-    telemetry::Counter* rx_bytes = nullptr;
-  };
-  std::vector<TierTelemetry> tm_tier_;
-  telemetry::Counter* tm_hier_rollups_ = nullptr;
-  telemetry::Counter* tm_hier_drill_req_ = nullptr;
-  telemetry::Counter* tm_hier_drill_data_ = nullptr;
 
   std::uint64_t collect_errors_ = 0;
   std::uint64_t stray_samples_ = 0;
   std::uint64_t interest_bytes_saved_ = 0;
   std::uint64_t delta_suppressed_total_ = 0;
+  std::uint64_t procfs_conflicts_ = 0;
 
   std::vector<SampleObserver> sample_observers_;
   PollRecord last_poll_;

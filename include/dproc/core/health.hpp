@@ -139,8 +139,6 @@ class HealthEngine {
   /// Triggers absorbed into an already-open incident (dedup hits).
   [[nodiscard]] std::uint64_t triggers_deduped() const { return deduped_; }
 
-  /// Tracked series names, in score order (stable across polls).
-  [[nodiscard]] const std::vector<std::string>& series_names() const;
   [[nodiscard]] const MetricHistory* history(const std::string& series) const;
 
   /// Renders /proc/dproc/health (score, per-series window state).
@@ -166,7 +164,6 @@ class HealthEngine {
   std::string node_name_;
 
   std::vector<Series> series_;
-  std::vector<std::string> series_names_;
   std::vector<WatchdogRule> rules_;
 
   double score_ = 100.0;

@@ -272,14 +272,11 @@ class TopKMonitor : public MonitoringModule {
     std::size_t entity_count, double s, std::uint64_t seed,
     std::size_t draws_per_collect = 256);
 
-/// The family's stock members: top-k CPU consumers by PID and top-k flows
-/// by bytes. Both are Zipf-backed (see make_zipf_observer); entity count is
-/// the knob the constant-space experiment sweeps.
+/// The family's stock member: top-k CPU consumers by PID, Zipf-backed (see
+/// make_zipf_observer); entity count is the knob the constant-space
+/// experiment sweeps.
 [[nodiscard]] std::unique_ptr<TopKMonitor> make_topk_process_monitor(
     std::size_t k, std::size_t process_count, double zipf_s = 1.2,
     std::uint64_t seed = 1, SketchParams params = {});
-[[nodiscard]] std::unique_ptr<TopKMonitor> make_topk_flow_monitor(
-    std::size_t k, std::size_t flow_count, double zipf_s = 1.2,
-    std::uint64_t seed = 2, SketchParams params = {});
 
 }  // namespace dproc::core

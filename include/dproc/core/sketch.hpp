@@ -131,7 +131,6 @@ class TopKSketch {
   [[nodiscard]] double rank_count(std::size_t rank) const;
   /// Key at `rank`, or -1 when absent.
   [[nodiscard]] std::int64_t rank_key(std::size_t rank) const;
-  [[nodiscard]] std::size_t top_size() const { return top_.size(); }
 
   [[nodiscard]] double estimate(std::int64_t key) const {
     return pipe_.estimate(key);

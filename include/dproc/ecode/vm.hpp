@@ -103,7 +103,6 @@ class Vm {
   /// Binds the sketch state the kCallSketch builtins read; nullptr (the
   /// default) makes any sketch builtin a runtime error. Not owned.
   void set_sketch_host(SketchHost* host) { sketch_ = host; }
-  [[nodiscard]] SketchHost* sketch_host() const { return sketch_; }
 
   /// Effective limits (after the constructor's max_instructions clamp).
   [[nodiscard]] const VmLimits& limits() const { return limits_; }

@@ -123,7 +123,6 @@ class Cpu {
   /// Recomputes and schedules the next server-task item completion.
   void reschedule_completion();
 
-  [[nodiscard]] double runnable_count() const;
   [[nodiscard]] double runnable_weight() const;
 
   sim::Engine& engine_;

@@ -41,7 +41,6 @@ class Disk {
 
   [[nodiscard]] const DiskCounters& counters() const { return counters_; }
   [[nodiscard]] std::size_t queue_depth() const { return queue_.size() + (busy_ ? 1 : 0); }
-  [[nodiscard]] SimDuration busy_time() const { return busy_time_; }
   [[nodiscard]] const DiskConfig& config() const { return config_; }
 
  private:
@@ -58,7 +57,6 @@ class Disk {
   DiskCounters counters_;
   std::deque<Request> queue_;
   bool busy_ = false;
-  SimDuration busy_time_{0};
 };
 
 }  // namespace dproc::host

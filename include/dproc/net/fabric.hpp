@@ -77,7 +77,6 @@ class Link {
     loss_probability_ = p;
     if (p > 0.0) loss_rng_ = Rng{seed};
   }
-  [[nodiscard]] double loss_probability() const { return loss_probability_; }
 
   [[nodiscard]] const LinkStats& stats() const { return stats_; }
   [[nodiscard]] const LinkConfig& config() const { return config_; }

@@ -110,10 +110,6 @@ class FaultInjector {
   /// nothing at all. May be called more than once (plans compose).
   void schedule(const FaultPlan& plan);
 
-  /// Observer called after each fault is applied (chaos-test tracing).
-  using Observer = std::function<void(const FaultEvent&)>;
-  void set_observer(Observer observer) { observer_ = std::move(observer); }
-
   [[nodiscard]] std::size_t scheduled() const { return scheduled_; }
   /// Events applied so far, in application order (the deterministic log).
   [[nodiscard]] const std::vector<FaultEvent>& applied() const {
@@ -125,7 +121,6 @@ class FaultInjector {
 
   Engine& engine_;
   FaultHooks hooks_;
-  Observer observer_;
   std::size_t scheduled_ = 0;
   std::vector<FaultEvent> applied_;
 };

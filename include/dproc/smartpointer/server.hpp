@@ -90,7 +90,6 @@ class Server {
 
   [[nodiscard]] std::size_t client_count() const { return clients_.size(); }
   [[nodiscard]] const ClientState* client(net::NodeId node) const;
-  [[nodiscard]] std::uint64_t frames_generated() const { return frames_; }
 
  private:
   void on_accept(net::TcpConnection::Ptr conn);
@@ -130,7 +129,6 @@ class Server {
   std::vector<net::TcpConnection::Ptr> pending_;  // connected, not subscribed
   std::map<net::NodeId, ClientState> clients_;
   sim::EventHandle frame_timer_;
-  std::uint64_t frames_ = 0;
 };
 
 }  // namespace dproc::smartpointer

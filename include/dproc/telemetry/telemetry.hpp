@@ -240,14 +240,6 @@ class Registry {
   // --- snapshots ----------------------------------------------------------
 
   /// Visits instruments in name order ("subsystem/name").
-  void for_each_counter(
-      const std::function<void(const std::string&, const Counter&)>& fn) const;
-  void for_each_gauge(
-      const std::function<void(const std::string&, const Gauge&)>& fn) const;
-  void for_each_latency(const std::function<void(const std::string&,
-                                                 const LatencyRecorder&)>& fn)
-      const;
-
   /// Text snapshot for procfs / the shell `telemetry` command.
   [[nodiscard]] std::string render() const;
 
@@ -287,25 +279,6 @@ class Registry {
   std::size_t hop_capacity_;
   Ring<Hop> hops_;
   std::uint64_t hops_dropped_ = 0;
-};
-
-/// RAII span: records [construction, destruction] on the registry's virtual
-/// clock. With simulated CPU costs the end usually equals the start (the
-/// clock does not advance inside a callback), so prefer record_span with an
-/// explicit cost-derived end for kernel-path spans; this helper suits
-/// engine-driven intervals.
-class ScopedSpan {
- public:
-  ScopedSpan(Registry& registry, const char* category, const char* name);
-  ~ScopedSpan();
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  Registry& registry_;
-  const char* category_;
-  const char* name_;
-  std::int64_t start_ns_;
 };
 
 /// Merges several registries (pid-labelled, typically one per node) into a

@@ -58,8 +58,6 @@ class MemoryHog {
   MemoryHog(const MemoryHog&) = delete;
   MemoryHog& operator=(const MemoryHog&) = delete;
 
-  [[nodiscard]] std::uint64_t held_bytes() const { return held_; }
-
  private:
   host::Host& host_;
   std::uint64_t held_ = 0;

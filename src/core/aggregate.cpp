@@ -12,7 +12,8 @@ ClusterAggregator::ClusterAggregator(DMon& dmon, procfs::ProcFs& procfs,
     : dmon_(dmon), staleness_(staleness) {
   for (const MetricDesc& desc : dmon_.metric_table()) {
     const MetricId id = desc.id;
-    procfs.register_file("/proc/cluster/summary/" + desc.key, [this, id] {
+    const std::string path = "/proc/cluster/summary/" + desc.key;
+    Status status = procfs.register_file(path, [this, id] {
       const AggregateView view = aggregate(id);
       std::ostringstream out;
       out << std::setprecision(12) << "nodes " << view.nodes << "\n"
@@ -21,6 +22,7 @@ ClusterAggregator::ClusterAggregator(DMon& dmon, procfs::ProcFs& procfs,
           << "max " << view.max << "\n";
       return out.str();
     });
+    if (!status) dmon_.note_procfs_conflict(path, status);
   }
 }
 

@@ -5,6 +5,15 @@
 
 namespace dproc::core {
 
+namespace {
+
+/// Entity population and skew of the stock per-PID TOP_K module's
+/// deterministic Zipf load.
+constexpr std::size_t kStockTopKProcesses = 1000;
+constexpr double kStockTopKZipfS = 1.2;
+
+}  // namespace
+
 Cluster::Cluster(sim::Engine& engine, ClusterConfig config)
     : engine_(engine), config_(std::move(config)) {
   if (config_.node_count == 0) {
@@ -193,7 +202,7 @@ Cluster::Cluster(sim::Engine& engine, ClusterConfig config)
     // node's filter sketch host (first TopKMonitor registered).
     if (config_.sketch.enabled) {
       auto topk = make_topk_process_monitor(
-          config_.sketch.k, config_.sketch.process_count, config_.sketch.zipf_s,
+          config_.sketch.k, kStockTopKProcesses, kStockTopKZipfS,
           config_.seed ^ (0x70cbULL + i), config_.sketch.params);
       node.dmon->register_module(std::move(topk));
     }

@@ -8,19 +8,11 @@
 #include "dproc/net/fabric.hpp"
 #include "dproc/net/wire.hpp"
 #include "dproc/util/logging.hpp"
+#include "zone_overlay.hpp"
 
 namespace dproc::core {
 
 namespace {
-
-constexpr std::uint8_t kOpMonitor = 1;
-constexpr std::uint8_t kOpControl = 2;
-constexpr std::uint8_t kOpMonitorBatch = 3;
-constexpr std::uint8_t kOpInterest = 4;
-// Hierarchical overlay (wire only when HierarchyConfig::enabled):
-constexpr std::uint8_t kOpAggregate = 5;     // zone roll-up, tier-up
-constexpr std::uint8_t kOpDrillRequest = 6;  // drill subscription, tier-down
-constexpr std::uint8_t kOpDrillData = 7;     // drilled raw batch, tier-up
 
 // Fixed KECho frame header (channel, source, submit time, payload length):
 // the extra wire bytes an interest-skipped member never receives, on top of
@@ -29,7 +21,7 @@ constexpr std::size_t kKechoHeaderBytes = 4 + 4 + 8 + 4;
 
 net::MessagePtr encode_monitor_event(const std::vector<MetricSample>& samples) {
   net::ByteWriter w;
-  w.u8(kOpMonitor);
+  w.u8(DMon::kOpMonitor);
   w.u32(static_cast<std::uint32_t>(samples.size()));
   for (const MetricSample& s : samples) {
     w.u32(s.id);
@@ -39,104 +31,10 @@ net::MessagePtr encode_monitor_event(const std::vector<MetricSample>& samples) {
   return net::make_message(w.take());
 }
 
-net::MessagePtr encode_batch_event(const net::MonitorBatch& batch) {
-  net::ByteWriter w;
-  w.reserve(1 + batch.encoded_bytes());
-  w.u8(kOpMonitorBatch);
-  batch.encode(w);
-  return net::make_message(w.take());
-}
-
-net::MessagePtr encode_aggregate_event(const net::AggregateBatch& batch) {
-  net::ByteWriter w;
-  w.reserve(1 + batch.encoded_bytes());
-  w.u8(kOpAggregate);
-  batch.encode(w);
-  return net::make_message(w.take());
-}
-
-net::MessagePtr encode_drill_request(net::NodeId requester, net::NodeId target,
-                                     bool enable, std::uint32_t ttl_periods) {
-  net::ByteWriter w;
-  w.u8(kOpDrillRequest);
-  w.u32(requester);
-  w.u32(target);
-  w.u8(enable ? 1 : 0);
-  w.u32(ttl_periods);
-  return net::make_message(w.take());
-}
-
-/// A kOpDrillRequest body, as encode_drill_request writes it.
-struct DrillRequest {
-  net::NodeId requester = 0;
-  net::NodeId target = 0;
-  bool enable = false;
-  std::uint32_t ttl_periods = 0;
-};
-
-/// Decodes a kOpDrillRequest body (the op byte already read); false when
-/// the body is short.
-bool decode_drill_request(net::ByteReader& r, DrillRequest& out) {
-  out.requester = r.u32();
-  out.target = r.u32();
-  out.enable = r.u8() != 0;
-  out.ttl_periods = r.u32();
-  return r.ok();
-}
-
-net::MessagePtr encode_drill_data(net::NodeId origin,
-                                  const net::MonitorBatch& batch) {
-  net::ByteWriter w;
-  w.reserve(1 + 4 + batch.encoded_bytes());
-  w.u8(kOpDrillData);
-  w.u32(origin);
-  batch.encode(w);
-  return net::make_message(w.take());
-}
-
-/// Renders one metric's roll-up from an AggregateBatch for procfs (the
-/// zone-summary and cluster-rollup files).
-std::string render_aggregate_entry(const net::AggregateBatch& batch,
-                                   MetricId id, SimTime now, SimTime built_at,
-                                   const net::Fabric* fabric) {
-  const net::AggregateBatch::Entry* entry = nullptr;
-  for (const net::AggregateBatch::Entry& e : batch.entries) {
-    if (e.id == id) {
-      entry = &e;
-      break;
-    }
-  }
-  if (entry == nullptr) return "no data\n";
-  std::ostringstream out;
-  out << std::setprecision(12);
-  out << "count " << entry->count << "\n";
-  if (batch.has(net::AggregateBatch::kFlagMean) && entry->count > 0) {
-    out << "mean " << (entry->sum / static_cast<double>(entry->count)) << "\n";
-  }
-  if (batch.has(net::AggregateBatch::kFlagMin)) {
-    out << "min " << entry->min << "\n";
-  }
-  if (batch.has(net::AggregateBatch::kFlagMax)) {
-    out << "max " << entry->max << "\n";
-  }
-  out << "latest_age_s " << (now - SimTime{entry->latest_ns}).sec() << "\n"
-      << "built_age_s " << (now - built_at).sec() << "\n";
-  for (const net::AggregateBatch::Top& top : entry->top) {
-    out << "top ";
-    if (fabric != nullptr && top.node < fabric->node_count()) {
-      out << fabric->node_name(top.node);
-    } else {
-      out << top.node;
-    }
-    out << " " << top.value << "\n";
-  }
-  return out.str();
-}
-
 net::MessagePtr encode_control_event(net::NodeId target,
                                      const TuningConfig& config) {
   net::ByteWriter w;
-  w.u8(kOpControl);
+  w.u8(DMon::kOpControl);
   w.u32(target);
   const std::vector<std::uint8_t> body = encode_tuning(config);
   w.u32(static_cast<std::uint32_t>(body.size()));
@@ -227,10 +125,12 @@ DMon::DMon(host::Host& host, net::Nic& nic, kecho::Node& kecho,
       tm_poll_us_(host.telemetry().latency("dmon", "poll_us")),
       tm_submit_us_(host.telemetry().latency("dmon", "submit_us")),
       tm_receive_us_(host.telemetry().latency("dmon", "receive_us")) {
-  procfs_.mkdir("/proc/cluster");
-  procfs_.register_file("/proc/dproc/telemetry",
-                        [this] { return host_.telemetry().render(); });
-  procfs_.register_file("/proc/dproc/trace", [this] {
+  if (Status status = procfs_.mkdir("/proc/cluster"); !status) {
+    note_procfs_conflict("/proc/cluster", status);
+  }
+  register_file("/proc/dproc/telemetry",
+                [this] { return host_.telemetry().render(); });
+  register_file("/proc/dproc/trace", [this] {
     const telemetry::Registry& tm = host_.telemetry();
     std::ostringstream out;
     out << "tracing " << (tm.trace_enabled() ? "enabled" : "disabled") << "\n"
@@ -250,7 +150,7 @@ DMon::DMon(host::Host& host, net::Nic& nic, kecho::Node& kecho,
     }
     return out.str();
   });
-  procfs_.register_file("/proc/dproc/status", [this] {
+  register_file("/proc/dproc/status", [this] {
     std::ostringstream out;
     out << "node " << nic_.node() << " (" << host_.name() << ")\n"
         << "poll_period " << to_string(config_.poll_period) << "\n"
@@ -267,13 +167,16 @@ DMon::DMon(host::Host& host, net::Nic& nic, kecho::Node& kecho,
     }
     if (collect_errors_ > 0) out << "collect_errors " << collect_errors_ << "\n";
     if (stray_samples_ > 0) out << "stray_samples " << stray_samples_ << "\n";
+    if (procfs_conflicts_ > 0) {
+      out << "procfs_conflicts " << procfs_conflicts_ << "\n";
+    }
     if (!last_control_error_.empty()) {
       out << "last_control_error " << last_control_error_ << "\n";
     }
     if (tuning_) out << tuning_->describe();
     return out.str();
   });
-  procfs_.register_file(
+  register_file(
       "/proc/dproc/interest",
       [this] {
         std::ostringstream out;
@@ -298,7 +201,7 @@ DMon::DMon(host::Host& host, net::Nic& nic, kecho::Node& kecho,
         }
         return declare_interest(std::move(modules));
       });
-  procfs_.register_file(
+  register_file(
       "/proc/dproc/adapt",
       [this] {
         if (!adapter_) return std::string{"adaptation disabled\n"};
@@ -333,7 +236,7 @@ DMon::DMon(host::Host& host, net::Nic& nic, kecho::Node& kecho,
         }
         return Status::ok();
       });
-  procfs_.register_file("/proc/dproc/flight", [this] {
+  register_file("/proc/dproc/flight", [this] {
     const telemetry::FlightRecorder& flight = host_.flight();
     std::ostringstream out;
     out << "recorder " << (flight.enabled() ? "enabled" : "disabled")
@@ -346,13 +249,12 @@ DMon::DMon(host::Host& host, net::Nic& nic, kecho::Node& kecho,
     health_ = std::make_unique<HealthEngine>(host_, &host_.flight(),
                                              config_.health);
     health_->set_node(nic_.node(), host_.name());
-    procfs_.register_file("/proc/dproc/health",
-                          [this] { return health_->render(); });
-    procfs_.register_file("/proc/dproc/incidents",
-                          [this] { return health_->render_incidents(); });
+    register_file("/proc/dproc/health", [this] { return health_->render(); });
+    register_file("/proc/dproc/incidents",
+                  [this] { return health_->render_incidents(); });
     // The cluster-wide view: this node's score plus every declared peer's
     // self-assessed score as received over the monitoring channel.
-    procfs_.register_file("/proc/cluster/health", [this] {
+    register_file("/proc/cluster/health", [this] {
       std::ostringstream out;
       out << "local " << host_.name() << " score " << health_->score()
           << " trusted " << (health_->trusted() ? 1 : 0) << "\n";
@@ -377,6 +279,30 @@ DMon::DMon(host::Host& host, net::Nic& nic, kecho::Node& kecho,
 }
 
 DMon::~DMon() { stop(); }
+
+net::MessagePtr DMon::encode_batch(const net::MonitorBatch& batch) {
+  net::ByteWriter w;
+  w.reserve(1 + batch.encoded_bytes());
+  w.u8(kOpMonitorBatch);
+  batch.encode(w);
+  return net::make_message(w.take());
+}
+
+void DMon::register_file(const std::string& path,
+                         procfs::ProcFs::ReadHandler read,
+                         procfs::ProcFs::WriteHandler write) {
+  Status status =
+      procfs_.register_file(path, std::move(read), std::move(write));
+  if (!status) note_procfs_conflict(path, status);
+}
+
+void DMon::note_procfs_conflict(const std::string& path,
+                                const Status& status) {
+  if (++procfs_conflicts_ > 1) return;
+  DPROC_WARN() << "dmon " << nic_.node() << ": " << path
+               << " not created: " << status.to_string()
+               << " (further clashes counted in /proc/dproc/status)";
+}
 
 void DMon::charge(double cycles) {
   if (cycles <= 0) return;
@@ -409,7 +335,7 @@ void DMon::register_module(std::unique_ptr<MonitoringModule> module) {
   register_local_files(entry);
   // NET_MON additionally serves the per-connection table.
   if (auto* net_monitor = dynamic_cast<NetMonitor*>(entry.module.get())) {
-    procfs_.register_file("/proc/net/connections", [net_monitor] {
+    register_file("/proc/net/connections", [net_monitor] {
       return net_monitor->render_connections();
     });
   }
@@ -444,7 +370,7 @@ void DMon::register_peer_metric_files(net::NodeId node,
   for (std::size_t i = first; i < metric_table_.size(); ++i) {
     const MetricDesc& desc = metric_table_[i];
     const MetricId id = desc.id;
-    procfs_.register_file(
+    register_file(
         "/proc/cluster/" + name + "/" + desc.path, [this, node, id] {
           auto it = peers_.find(node);
           if (it == peers_.end() || id >= it->second.metrics.size()) {
@@ -460,7 +386,7 @@ void DMon::register_local_files(const ModuleEntry& entry) {
   for (std::size_t i = 0; i < entry.metric_count; ++i) {
     const MetricDesc& desc = metric_table_[entry.first_id + i];
     const MetricId id = desc.id;
-    procfs_.register_file("/proc/" + desc.path, [this, id] {
+    register_file("/proc/" + desc.path, [this, id] {
       if (id >= last_collected_.size()) return std::string{"no data\n"};
       std::ostringstream out;
       out << std::setprecision(12) << last_collected_[id].value << "\n";
@@ -476,7 +402,7 @@ void DMon::add_peer(net::NodeId node, const std::string& name) {
   peer.metrics.resize(metric_table_.size());
   if (created) peer.declared_at = host_.engine().now();
   register_peer_metric_files(node, name, 0);
-  procfs_.register_file("/proc/cluster/" + name + "/status", [this, node] {
+  register_file("/proc/cluster/" + name + "/status", [this, node] {
     auto peer_it = peers_.find(node);
     if (peer_it == peers_.end()) return std::string{"state dead\n"};
     const Peer& p = peer_it->second;
@@ -487,7 +413,7 @@ void DMon::add_peer(net::NodeId node, const std::string& name) {
         << "age_s " << (host_.engine().now() - p.last_update).sec() << "\n";
     return out.str();
   });
-  procfs_.register_file(
+  register_file(
       "/proc/cluster/" + name + "/control",
       [name] {
         return "# write control commands for node " + name +
@@ -514,9 +440,39 @@ void DMon::start() {
                            module_ranges_[i].first, module_ranges_[i].count);
     }
   }
-  if (!start_hierarchy()) join_flat_channels(true, true);
+  choose_route();
   poll_timer_ = host_.engine().schedule_periodic(config_.poll_period,
                                                  [this] { poll(); });
+}
+
+void DMon::choose_route() {
+  // The overlay is built once; a restart keeps it (restart() resets it).
+  if (config_.hierarchy.enabled && overlay_ == nullptr) {
+    overlay_ = ZoneOverlay::start(*this);
+  }
+  if (overlay_ != nullptr) {
+    ZoneOverlay* overlay = overlay_.get();
+    publish_ = [overlay](std::vector<MetricSample>& sorted,
+                         PollRecord& record) {
+      return overlay->publish(sorted, record);
+    };
+    routed_ = [overlay](net::NodeId peer) { return overlay->routed(peer); };
+    return;
+  }
+  join_flat_channels(true, true);
+  // Flat, every peer's raw feed reaches every member, and each submitted
+  // event is delivered to every remote member of the monitoring channel.
+  routed_ = [](net::NodeId) { return true; };
+  using Submit = void (DMon::*)(std::vector<MetricSample>&, PollRecord&);
+  const Submit submit = config_.batch.enabled ? &DMon::submit_batch
+                                              : &DMon::submit_per_module;
+  publish_ = [this, submit](std::vector<MetricSample>& sorted,
+                            PollRecord& record) -> std::size_t {
+    const kecho::Channel& channel = *monitor_channel_;
+    if (!channel.ready() || channel.remote_member_count() == 0) return 0;
+    (this->*submit)(sorted, record);
+    return record.events_submitted * channel.remote_member_count();
+  };
 }
 
 void DMon::join_flat_channels(bool monitor, bool control) {
@@ -549,16 +505,7 @@ void DMon::restart() {
     peer.last_slo_violation = SimTime{};
     peer.last_state = PeerState::kLive;
   }
-  // A rebooted monitor has no roll-up, drill or membership memory either;
-  // the keyframed zone feeds and drill refreshes reconverge it.
-  for (ZoneDuty& duty : duties_) {
-    duty.rollup.clear();
-    duty.drills.clear();
-    duty.last_built_valid = false;
-  }
-  hier_dead_.clear();
-  local_drills_.clear();
-  summary_valid_ = false;
+  if (overlay_ != nullptr) overlay_->reset();
   // A rebooted controller has no rate memory; periods restart at base.
   if (adapter_) adapter_->reset();
   tuning_->clear_adaptive_periods();
@@ -616,17 +563,11 @@ void DMon::scan_peer_health(SimTime now) {
   telemetry::FlightRecorder& flight = host_.flight();
   const bool flight_on = flight.enabled();
   if (!flight_on && !health_) return;
-  // Only peers whose raw feed is routed here can go stale. Flat, that is
-  // every peer. Under the hierarchy a leaf's members feed only their
-  // acting aggregator, so a declared zone mate counts only at that
-  // aggregator; a drill target counts at the node that drilled it.
-  const bool acting_leaf =
-      hier_ && zone_acting(leaf_zone_->id) == nic_.node();
+  // Only peers whose raw feed is routed here can go stale (the route's
+  // census predicate).
   HealthSnapshot census;
   for (auto& [node, peer] : peers_) {
-    const bool expected = !hier_ || local_drills_.count(node) != 0 ||
-                          (acting_leaf && leaf_zone_->contains(node));
-    if (!expected) continue;
+    if (!routed_(node)) continue;
     ++census.peers_total;
     const PeerState state = state_of(peer);
     if (state == PeerState::kStale) ++census.peers_stale;
@@ -663,20 +604,6 @@ void DMon::scan_peer_health(SimTime now) {
 }
 
 void DMon::on_membership(kecho::MemberEventKind kind, net::NodeId node) {
-  if (hier_) {
-    // The election's shared membership view: every candidate derives the
-    // acting aggregator from the same events, so leaves, standbys and
-    // parents converge on the same answer without a protocol.
-    if (kind == kecho::MemberEventKind::kJoined) {
-      hier_dead_.erase(node);
-    } else {
-      hier_dead_.insert(node);
-      if (kind == kecho::MemberEventKind::kLeft) {
-        // A confirmed departure's samples must not linger in the roll-up.
-        for (ZoneDuty& duty : duties_) duty.rollup.forget_origin(node);
-      }
-    }
-  }
   if (kind == kecho::MemberEventKind::kJoined) {
     // The joiner may be a publisher that has never seen this node's
     // interest declaration (it joined after we declared, or it restarted
@@ -705,6 +632,18 @@ void DMon::on_membership(kecho::MemberEventKind kind, net::NodeId node) {
       peers_.erase(it);
       break;
   }
+}
+
+const net::AggregateBatch* DMon::cluster_summary() const {
+  return overlay_ != nullptr ? overlay_->summary() : nullptr;
+}
+
+SimTime DMon::cluster_summary_at() const {
+  return overlay_ != nullptr ? overlay_->summary_at() : SimTime{};
+}
+
+std::optional<std::size_t> DMon::zone_acting(std::uint32_t zone_id) const {
+  return overlay_ != nullptr ? overlay_->acting(zone_id) : std::nullopt;
 }
 
 std::optional<MetricId> DMon::metric_id(const std::string& key) const {
@@ -867,77 +806,44 @@ DMon::Peer& DMon::refresh_peer(net::NodeId origin) {
   return peer;
 }
 
-void DMon::apply_batch_to_peer(Peer& peer, const net::MonitorBatch& batch,
-                               std::uint64_t trace_id) {
+const net::MonitorBatch* DMon::take_raw_batch(const kecho::Event& event,
+                                              net::ByteReader& r) {
+  if (!net::MonitorBatch::decode(r, rx_batch_)) {
+    DPROC_WARN() << "dmon " << nic_.node() << ": malformed batch event from "
+                 << event.source;
+    return nullptr;
+  }
+  Peer& peer = refresh_peer(event.source);
   const SimTime now = host_.engine().now();
-  for (const net::MonitorBatch::Entry& e : batch.entries) {
+  for (const net::MonitorBatch::Entry& e : rx_batch_.entries) {
     if (e.id < peer.metrics.size()) {
-      peer.metrics[e.id] =
-          RemoteMetric{e.value, SimTime{e.sampled_ns}, now, true, trace_id};
+      peer.metrics[e.id] = RemoteMetric{e.value, SimTime{e.sampled_ns}, now,
+                                        true, event.trace.trace_id};
     }
   }
+  note_render(event, config_.monitor_channel, &peer);
+  charge_intake();
+  return &rx_batch_;
 }
 
 void DMon::on_monitor_event(const kecho::Event& event) {
   net::ByteReader r{event.payload_header()};
   const std::uint8_t op = r.u8();
-  if (hier_ && op == kOpAggregate) {
-    // The root summary arriving at a subscriber (or standby root
-    // candidate, keeping its failover state warm).
-    if (!net::AggregateBatch::decode(r, agg_rx_)) {
-      DPROC_WARN() << "dmon " << nic_.node()
-                   << ": malformed aggregate event from " << event.source;
-      return;
-    }
-    summary_ = agg_rx_;
-    summary_at_ = host_.engine().now();
-    summary_valid_ = true;
-    count_tier(agg_rx_.tier, /*rx=*/true, event.payload_size());
-    note_render(event, config_.monitor_channel, nullptr);
-    charge_intake();
+  if (op == kOpMonitorBatch) {
+    (void)take_raw_batch(event, r);
     return;
   }
-  if (hier_ && op == kOpDrillRequest) {
-    // Root intake of a subscriber's drill subscription.
-    take_drill_request(r, std::nullopt);
-    return;
-  }
-  if (hier_ && op == kOpDrillData) {
-    // Requester receipt: the drilled node's raw feed, unflattened from the
-    // tree — apply it exactly like a direct monitoring batch.
-    const net::NodeId origin = r.u32();
-    if (!net::MonitorBatch::decode(r, rx_batch_) ||
-        origin >= nic_.fabric().node_count()) {
-      DPROC_WARN() << "dmon " << nic_.node()
-                   << ": malformed drill data from " << event.source;
-      return;
-    }
-    apply_batch_to_peer(refresh_peer(origin), rx_batch_, event.trace.trace_id);
-    if (tm_hier_drill_data_ != nullptr) tm_hier_drill_data_->add();
-    charge_intake();
-    return;
-  }
-  if (op != kOpMonitor && op != kOpMonitorBatch) return;
-  if (op == kOpMonitorBatch && !net::MonitorBatch::decode(r, rx_batch_)) {
-    DPROC_WARN() << "dmon " << nic_.node() << ": malformed batch event from "
-                 << event.source;
-    return;
-  }
-
+  if (op != kOpMonitor) return;
   Peer& peer = refresh_peer(event.source);
-  if (op == kOpMonitor) {
-    const std::uint32_t count = r.u32();
-    for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
-      const MetricId id = r.u32();
-      const double value = r.f64();
-      const SimTime sampled{r.i64()};
-      if (id < peer.metrics.size()) {
-        peer.metrics[id] = RemoteMetric{value, sampled, host_.engine().now(),
-                                        true, event.trace.trace_id};
-      }
+  const std::uint32_t count = r.u32();
+  for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
+    const MetricId id = r.u32();
+    const double value = r.f64();
+    const SimTime sampled{r.i64()};
+    if (id < peer.metrics.size()) {
+      peer.metrics[id] = RemoteMetric{value, sampled, host_.engine().now(),
+                                      true, event.trace.trace_id};
     }
-  } else {
-    apply_batch_to_peer(peer, rx_batch_, event.trace.trace_id);
   }
   note_render(event, config_.monitor_channel, &peer);
   charge_intake();
@@ -1040,7 +946,7 @@ void DMon::note_strays(std::size_t count) {
   }
 }
 
-void DMon::submit_per_module(const std::vector<MetricSample>& sorted,
+void DMon::submit_per_module(std::vector<MetricSample>& sorted,
                              PollRecord& record) {
   const std::size_t strays =
       group_by_range(sorted, module_ranges_, groups_scratch_);
@@ -1067,7 +973,7 @@ bool DMon::build_publish_batch(std::vector<MetricSample>& sorted,
   });
   note_strays(strays);
 
-  // The hierarchy path calls this with batching off too (zone feeds are
+  // The zone overlay calls this with batching off too (zone feeds are
   // always MonitorBatch frames); without BatchConfig every frame is a
   // keyframe and delta suppression stays inert.
   const bool keyframe =
@@ -1116,7 +1022,7 @@ bool DMon::build_publish_batch(std::vector<MetricSample>& sorted,
 void DMon::submit_batch(std::vector<MetricSample>& sorted, PollRecord& record) {
   if (!build_publish_batch(sorted, record, batch_scratch_)) return;
   const net::MonitorBatch& batch = batch_scratch_;
-  const net::MessagePtr full = encode_batch_event(batch);
+  const net::MessagePtr full = encode_batch(batch);
   if (!config_.batch.interest || peer_interests_.empty()) {
     record.submit_cost +=
         monitor_channel_->submit(full, begin_trace(monitor_channel_->id()));
@@ -1161,7 +1067,7 @@ void DMon::submit_batch(std::vector<MetricSample>& sorted, PollRecord& record) {
           }
         }
         if (!filtered_scratch_.entries.empty()) {
-          frame = encode_batch_event(filtered_scratch_);
+          frame = encode_batch(filtered_scratch_);
         }
         cache.emplace_back(&it->second, frame);
       }
@@ -1177,516 +1083,15 @@ void DMon::submit_batch(std::vector<MetricSample>& sorted, PollRecord& record) {
     interest_bytes_saved_ += saved;
     tm_bytes_saved_.add(saved);
   }
-  count_batch_submit(record);
+  count_batch_submit(record, batch);
 }
 
-void DMon::count_batch_submit(PollRecord& record) {
+void DMon::count_batch_submit(PollRecord& record,
+                              const net::MonitorBatch& batch) {
   ++record.events_submitted;
   tm_batch_submits_.add();
-  tm_batch_samples_.add(batch_scratch_.entries.size());
+  tm_batch_samples_.add(batch.entries.size());
   if (record.keyframe) tm_batch_keyframes_.add();
-}
-
-// --- hierarchical aggregation overlay --------------------------------------
-
-bool DMon::hier_alive(std::size_t node) const {
-  return node == static_cast<std::size_t>(nic_.node()) ||
-         hier_dead_.find(node) == hier_dead_.end();
-}
-
-std::optional<std::size_t> DMon::zone_acting(std::uint32_t zone_id) const {
-  if (config_.hierarchy_layout == nullptr) return std::nullopt;
-  const HierarchyLayout& layout = *config_.hierarchy_layout;
-  if (zone_id >= layout.zones().size()) return std::nullopt;
-  return layout.acting(layout.zone(zone_id),
-                       [this](std::size_t node) { return hier_alive(node); });
-}
-
-DMon::ZoneDuty* DMon::duty_of(std::uint32_t zone_id) {
-  for (ZoneDuty& duty : duties_) {
-    if (duty.zone->id == zone_id) return &duty;
-  }
-  return nullptr;
-}
-
-kecho::Channel* DMon::join_zone_channel(std::uint32_t zone_id) {
-  auto it = zone_channels_.find(zone_id);
-  if (it != zone_channels_.end()) return it->second;
-  const HierarchyZone& zone = config_.hierarchy_layout->zone(zone_id);
-  kecho::Channel& channel =
-      kecho_.join(config_.monitor_channel + "." + zone.name);
-  channel.set_handler([this, zone_id](const kecho::Event& event) {
-    on_zone_event(zone_id, event);
-  });
-  zone_channels_[zone_id] = &channel;
-  return &channel;
-}
-
-bool DMon::start_hierarchy() {
-  if (!config_.hierarchy.enabled || config_.hierarchy_layout == nullptr) {
-    return false;
-  }
-  const HierarchyLayout& layout = *config_.hierarchy_layout;
-  const std::size_t self = nic_.node();
-  if (self >= layout.node_count()) {
-    // Outside the layout (a late-added node): fall back to the flat stack
-    // rather than publishing into zones nobody aggregates.
-    DPROC_WARN() << "dmon " << self
-                 << ": node outside the hierarchy layout; running flat";
-    return false;
-  }
-  hier_ = true;
-  leaf_zone_ = &layout.leaf_of(self);
-
-  bool subscriber = !config_.hierarchy.subscribers.has_value();
-  if (config_.hierarchy.subscribers) {
-    for (const std::size_t node : *config_.hierarchy.subscribers) {
-      if (node == self) {
-        subscriber = true;
-        break;
-      }
-    }
-  }
-  const std::vector<std::uint32_t> duty_ids = layout.duty_zones(self);
-  bool root_candidate = false;
-  for (const std::uint32_t zid : duty_ids) {
-    if (zid == layout.root().id) root_candidate = true;
-  }
-  // Summary membership: subscribers (to read) and root candidates (to
-  // publish and to take drill requests). The control channel stays
-  // subscriber-scoped — zone traffic never rides it.
-  join_flat_channels(subscriber || root_candidate, subscriber);
-
-  duties_.clear();
-  for (const std::uint32_t zid : duty_ids) {
-    ZoneDuty duty;
-    duty.zone = &layout.zone(zid);
-    duty.channel = join_zone_channel(zid);
-    duty.parent_channel = duty.zone->parent
-                              ? join_zone_channel(*duty.zone->parent)
-                              : monitor_channel_;
-    duties_.push_back(std::move(duty));
-  }
-
-  tm_tier_.clear();
-  tm_tier_.resize(layout.tiers());
-  telemetry::Registry& tm = host_.telemetry();
-  for (std::uint32_t tier = 0; tier < layout.tiers(); ++tier) {
-    const std::string prefix = "t" + std::to_string(tier) + "_";
-    tm_tier_[tier].tx_events = &tm.counter("hier", prefix + "tx_events");
-    tm_tier_[tier].tx_bytes = &tm.counter("hier", prefix + "tx_bytes");
-    tm_tier_[tier].rx_events = &tm.counter("hier", prefix + "rx_events");
-    tm_tier_[tier].rx_bytes = &tm.counter("hier", prefix + "rx_bytes");
-  }
-  tm_hier_rollups_ = &tm.counter("hier", "rollup_publishes");
-  tm_hier_drill_req_ = &tm.counter("hier", "drill_requests");
-  tm_hier_drill_data_ = &tm.counter("hier", "drill_data_frames");
-  register_hier_files();
-  return true;
-}
-
-void DMon::count_tier(std::size_t tier, bool rx, std::uint64_t bytes) {
-  if (tier >= tm_tier_.size()) return;
-  const TierTelemetry& t = tm_tier_[tier];
-  (rx ? t.rx_events : t.tx_events)->add();
-  (rx ? t.rx_bytes : t.tx_bytes)->add(bytes);
-}
-
-void DMon::register_hier_files() {
-  if (hier_files_registered_) return;
-  hier_files_registered_ = true;
-  procfs_.register_file("/proc/dproc/hierarchy", [this]() mutable {
-    std::ostringstream out;
-    const HierarchyLayout& layout = *config_.hierarchy_layout;
-    out << "zones " << layout.zones().size() << " tiers " << layout.tiers()
-        << " zone_size " << config_.hierarchy.zone_size << " fanout "
-        << config_.hierarchy.fanout << "\n"
-        << "leaf " << (leaf_zone_ != nullptr ? leaf_zone_->name : "-") << "\n";
-    for (const ZoneDuty& duty : duties_) {
-      const auto act = zone_acting(duty.zone->id);
-      out << "duty " << duty.zone->name << " acting ";
-      if (act) {
-        out << *act;
-        if (*act == static_cast<std::size_t>(nic_.node())) out << " (self)";
-      } else {
-        out << "-";
-      }
-      out << " origins " << duty.rollup.origin_count() << " children "
-          << duty.rollup.child_count() << " drills " << duty.drills.size()
-          << "\n";
-    }
-    out << "summary " << (summary_valid_ ? "valid" : "none");
-    if (summary_valid_) {
-      out << " entries " << summary_.entries.size() << " age_s "
-          << (host_.engine().now() - summary_at_).sec();
-    }
-    out << "\n";
-    return out.str();
-  });
-  procfs_.register_file(
-      "/proc/dproc/drilldown",
-      [this] {
-        std::ostringstream out;
-        out << "local";
-        for (const net::NodeId target : local_drills_) out << " " << target;
-        out << "\n";
-        for (const ZoneDuty& duty : duties_) {
-          for (const auto& [target, requesters] : duty.drills) {
-            out << duty.zone->name << " target " << target << " requesters "
-                << requesters.size() << "\n";
-          }
-        }
-        return out.str();
-      },
-      [this](const std::string& text) {
-        std::istringstream in(text);
-        unsigned long node = 0;
-        std::string mode;
-        if (!(in >> node)) {
-          return Status::invalid_argument("usage: <node-id> [on|off]");
-        }
-        in >> mode;
-        return drill_down(static_cast<net::NodeId>(node), mode != "off");
-      });
-  // Cluster-wide roll-up files at summary members. /proc/cluster/summary
-  // belongs to the application-level ClusterAggregator; the overlay renders
-  // under /proc/cluster/rollup.
-  if (monitor_channel_ != nullptr) {
-    for (const MetricDesc& desc : metric_table_) {
-      const MetricId id = desc.id;
-      procfs_.register_file("/proc/cluster/rollup/" + desc.path, [this, id] {
-        if (!summary_valid_) return std::string{"no data\n"};
-        return render_aggregate_entry(summary_, id, host_.engine().now(),
-                                      summary_at_, &nic_.fabric());
-      });
-    }
-  }
-  // Zone summaries at every candidate (whichever candidate is acting, the
-  // standbys' copies go stale rather than vanish).
-  for (const ZoneDuty& duty : duties_) {
-    const std::uint32_t zid = duty.zone->id;
-    const std::string base = "/proc/cluster/zones/" + duty.zone->name + "/";
-    for (const MetricDesc& desc : metric_table_) {
-      const MetricId id = desc.id;
-      procfs_.register_file(base + desc.path, [this, zid, id]() mutable {
-        const ZoneDuty* duty = duty_of(zid);
-        if (duty == nullptr || !duty->last_built_valid) {
-          return std::string{"no data\n"};
-        }
-        return render_aggregate_entry(duty->last_built, id,
-                                      host_.engine().now(),
-                                      duty->last_built_at, &nic_.fabric());
-      });
-    }
-  }
-}
-
-void DMon::on_zone_event(std::uint32_t zone_id, const kecho::Event& event) {
-  net::ByteReader r{event.payload_header()};
-  const std::uint8_t op = r.u8();
-  const SimTime now = host_.engine().now();
-  if (op == kOpMonitorBatch) {
-    // A zone member's raw feed into its leaf aggregator.
-    ZoneDuty* duty = duty_of(zone_id);
-    if (duty == nullptr || duty->zone->tier != 0) return;
-    if (!net::MonitorBatch::decode(r, rx_batch_)) {
-      DPROC_WARN() << "dmon " << nic_.node()
-                   << ": malformed zone batch from " << event.source;
-      return;
-    }
-    duty->rollup.update_origin(event.source, rx_batch_, now);
-    count_tier(0, /*rx=*/true, event.payload_size());
-    // The aggregator's own procfs view of its zone mates stays live.
-    Peer& peer = refresh_peer(event.source);
-    apply_batch_to_peer(peer, rx_batch_, event.trace.trace_id);
-    note_render(event, config_.monitor_channel, &peer);
-    maybe_forward_drill(*duty, event.source, rx_batch_, nullptr);
-    charge_intake();
-    return;
-  }
-  if (op == kOpAggregate) {
-    // A child zone's roll-up on this (parent) zone's channel. Sibling
-    // candidates overhear it too — only a candidate of the parent folds,
-    // and only frames whose zone really is a child (the zone id doubles as
-    // the overwrite key, so a re-elected child aggregator republishing the
-    // same zone never double-counts).
-    if (!net::AggregateBatch::decode(r, agg_rx_)) {
-      DPROC_WARN() << "dmon " << nic_.node()
-                   << ": malformed aggregate from " << event.source;
-      return;
-    }
-    ZoneDuty* duty = duty_of(zone_id);
-    if (duty == nullptr) return;
-    const auto& zones = config_.hierarchy_layout->zones();
-    if (agg_rx_.zone >= zones.size() ||
-        zones[agg_rx_.zone].parent != zone_id) {
-      return;
-    }
-    duty->rollup.update_child(agg_rx_, now);
-    count_tier(agg_rx_.tier, /*rx=*/true, event.payload_size());
-    charge_intake();
-    return;
-  }
-  if (op == kOpDrillRequest) {
-    // Downward propagation: a request on channel(p) is for the duties
-    // whose parent is p (the zone that forwarded it).
-    take_drill_request(r, zone_id);
-    return;
-  }
-  if (op == kOpDrillData) {
-    // Upward relay: we were addressed as the acting aggregator of this
-    // zone. Validate, then pass the frame along the acting chain.
-    const net::NodeId origin = r.u32();
-    ZoneDuty* duty = duty_of(zone_id);
-    if (duty == nullptr) return;
-    if (!net::MonitorBatch::decode(r, rx_batch_)) {
-      DPROC_WARN() << "dmon " << nic_.node()
-                   << ": malformed drill relay from " << event.source;
-      return;
-    }
-    send_drill_up(*duty, origin, rx_batch_, nullptr);
-    return;
-  }
-}
-
-void DMon::submit_hier(std::vector<MetricSample>& sorted, PollRecord& record) {
-  if (leaf_zone_ == nullptr) return;
-  const auto act = zone_acting(leaf_zone_->id);
-  if (!act) return;
-  const std::size_t self = nic_.node();
-  const SimTime now = host_.engine().now();
-  if (*act == self) {
-    // This node is its own aggregator: fold locally, no loopback frame.
-    if (!build_publish_batch(sorted, record, batch_scratch_)) return;
-    ZoneDuty* duty = duty_of(leaf_zone_->id);
-    duty->rollup.update_origin(static_cast<std::uint32_t>(self),
-                               batch_scratch_, now);
-    maybe_forward_drill(*duty, static_cast<net::NodeId>(self), batch_scratch_,
-                        &record);
-    return;
-  }
-  kecho::Channel* channel = zone_channels_.at(leaf_zone_->id);
-  if (!channel->ready()) return;
-  if (!build_publish_batch(sorted, record, batch_scratch_)) return;
-  const net::MessagePtr frame = encode_batch_event(batch_scratch_);
-  record.submit_cost += channel->submit_to(
-      static_cast<net::NodeId>(*act), frame, begin_trace(channel->id()));
-  count_batch_submit(record);
-  count_tier(0, /*rx=*/false, frame->size());
-}
-
-void DMon::publish_rollups(PollRecord& record) {
-  const SimTime now = host_.engine().now();
-  const SimDuration horizon =
-      config_.poll_period * static_cast<double>(config_.stale_after_periods);
-  const std::size_t self = nic_.node();
-  for (ZoneDuty& duty : duties_) {
-    const auto act = zone_acting(duty.zone->id);
-    if (!act || *act != self) continue;
-    const RollupSpec& spec = config_.hierarchy.rollup_for(duty.zone->name);
-    if (!duty.rollup.build(agg_scratch_, spec, now, horizon)) continue;
-    agg_scratch_.tier = static_cast<std::uint8_t>(duty.zone->tier);
-    agg_scratch_.zone = duty.zone->id;
-    duty.last_built = agg_scratch_;
-    duty.last_built_at = now;
-    duty.last_built_valid = true;
-    if (tm_hier_rollups_ != nullptr) tm_hier_rollups_->add();
-    if (duty.zone->parent) {
-      // Fold into our own parent duty directly (a submit never loops back
-      // to the sender); the wire copy keeps the other parent candidates'
-      // standby state warm for failover.
-      if (ZoneDuty* parent = duty_of(*duty.zone->parent)) {
-        parent->rollup.update_child(agg_scratch_, now);
-      }
-    } else {
-      summary_ = agg_scratch_;
-      summary_at_ = now;
-      summary_valid_ = true;
-    }
-    kecho::Channel* up = duty.parent_channel;
-    if (up == nullptr || !up->ready() || up->remote_member_count() == 0) {
-      continue;
-    }
-    const net::MessagePtr frame = encode_aggregate_event(agg_scratch_);
-    record.submit_cost += up->submit(frame, begin_trace(up->id()));
-    ++record.events_submitted;
-    count_tier(duty.zone->tier, /*rx=*/false, frame->size());
-  }
-}
-
-void DMon::take_drill_request(net::ByteReader& r,
-                              std::optional<std::uint32_t> parent) {
-  DrillRequest req;
-  if (!decode_drill_request(r, req)) return;
-  const SimTime expiry = host_.engine().now() +
-                         config_.poll_period *
-                             static_cast<double>(req.ttl_periods);
-  for (ZoneDuty& duty : duties_) {
-    if (duty.zone->parent == parent) {
-      apply_drill(duty, req.requester, req.target, req.enable, expiry);
-    }
-  }
-}
-
-void DMon::apply_drill(ZoneDuty& duty, net::NodeId requester,
-                       net::NodeId target, bool enable, SimTime expiry) {
-  if (!duty.zone->contains(target)) return;
-  if (enable) {
-    duty.drills[target][requester] = expiry;
-  } else {
-    auto it = duty.drills.find(target);
-    if (it != duty.drills.end()) {
-      it->second.erase(requester);
-      if (it->second.empty()) duty.drills.erase(it);
-    }
-  }
-  if (tm_hier_drill_req_ != nullptr) tm_hier_drill_req_->add();
-  if (duty.zone->tier == 0) return;
-  // The acting aggregator re-announces on the zone's own channel — a plain
-  // submit reaching every child candidate, so the routing state survives
-  // child failover — and applies directly to the child duties it holds
-  // itself (its own submit never loops back).
-  const auto act = zone_acting(duty.zone->id);
-  if (!act || *act != static_cast<std::size_t>(nic_.node())) return;
-  kecho::Channel* down = duty.channel;
-  if (down != nullptr && down->ready() && down->remote_member_count() > 0) {
-    const auto ttl = static_cast<std::uint32_t>(
-        std::max(1, config_.hierarchy.drill_ttl_periods));
-    down->submit(encode_drill_request(requester, target, enable, ttl));
-  }
-  for (ZoneDuty& child : duties_) {
-    if (child.zone->parent && *child.zone->parent == duty.zone->id) {
-      apply_drill(child, requester, target, enable, expiry);
-    }
-  }
-}
-
-void DMon::send_drill_request(net::NodeId target, bool enable) {
-  const auto ttl = static_cast<std::uint32_t>(
-      std::max(1, config_.hierarchy.drill_ttl_periods));
-  if (monitor_channel_ != nullptr && monitor_channel_->ready() &&
-      monitor_channel_->remote_member_count() > 0) {
-    monitor_channel_->submit(
-        encode_drill_request(nic_.node(), target, enable, ttl));
-  }
-  // Root candidates see their own announcements directly.
-  if (ZoneDuty* root = duty_of(config_.hierarchy_layout->root().id)) {
-    const SimTime expiry =
-        host_.engine().now() + config_.poll_period * static_cast<double>(ttl);
-    apply_drill(*root, nic_.node(), target, enable, expiry);
-  }
-}
-
-Status DMon::drill_down(net::NodeId target, bool enable) {
-  if (!hier_) {
-    return Status::failed_precondition("hierarchy overlay not active");
-  }
-  if (monitor_channel_ == nullptr) {
-    return Status::failed_precondition(
-        "drill-down needs summary-channel membership (subscriber)");
-  }
-  if (target >= nic_.fabric().node_count()) {
-    return Status::invalid_argument("drill target outside the cluster");
-  }
-  if (enable) {
-    local_drills_.insert(target);
-  } else {
-    local_drills_.erase(target);
-  }
-  send_drill_request(target, enable);
-  return Status::ok();
-}
-
-void DMon::send_drill_up(ZoneDuty& duty, net::NodeId origin,
-                         const net::MonitorBatch& batch, PollRecord* record) {
-  const std::size_t self = nic_.node();
-  if (!duty.zone->parent) {
-    // Root: deliver to the live requesters over the summary channel.
-    auto it = duty.drills.find(origin);
-    if (it == duty.drills.end()) return;
-    const SimTime now = host_.engine().now();
-    auto& requesters = it->second;
-    bool self_wants = false;
-    for (auto rit = requesters.begin(); rit != requesters.end();) {
-      if (rit->second < now) {
-        rit = requesters.erase(rit);
-        continue;
-      }
-      if (rit->first == static_cast<net::NodeId>(self)) self_wants = true;
-      ++rit;
-    }
-    if (requesters.empty()) {
-      duty.drills.erase(it);
-      return;
-    }
-    if (self_wants) {
-      // The acting root drilled the target itself: apply locally.
-      apply_batch_to_peer(refresh_peer(origin), batch, 0);
-    }
-    if (monitor_channel_ != nullptr && monitor_channel_->ready()) {
-      const auto& reqs = requesters;
-      const net::MessagePtr frame = encode_drill_data(origin, batch);
-      const SimDuration cost = monitor_channel_->submit_to_each(
-          [&reqs, &frame](net::NodeId member) -> net::MessagePtr {
-            return reqs.find(member) != reqs.end() ? frame : nullptr;
-          });
-      if (record != nullptr) {
-        record->submit_cost += cost;
-        ++record->events_submitted;
-      }
-    }
-    if (tm_hier_drill_data_ != nullptr) tm_hier_drill_data_->add();
-    return;
-  }
-  const auto act = zone_acting(*duty.zone->parent);
-  if (!act) return;
-  if (*act == self) {
-    if (ZoneDuty* parent = duty_of(*duty.zone->parent)) {
-      send_drill_up(*parent, origin, batch, record);
-    }
-    return;
-  }
-  kecho::Channel* up = duty.parent_channel;
-  if (up == nullptr || !up->ready()) return;
-  const SimDuration cost = up->submit_to(static_cast<net::NodeId>(*act),
-                                         encode_drill_data(origin, batch));
-  if (record != nullptr) {
-    record->submit_cost += cost;
-    ++record->events_submitted;
-  }
-  if (tm_hier_drill_data_ != nullptr) tm_hier_drill_data_->add();
-}
-
-void DMon::maybe_forward_drill(ZoneDuty& leaf_duty, net::NodeId origin,
-                               const net::MonitorBatch& batch,
-                               PollRecord* record) {
-  auto it = leaf_duty.drills.find(origin);
-  if (it == leaf_duty.drills.end()) return;
-  const SimTime now = host_.engine().now();
-  bool live = false;
-  for (const auto& [requester, expiry] : it->second) {
-    if (expiry >= now) {
-      live = true;
-      break;
-    }
-  }
-  if (!live) {
-    leaf_duty.drills.erase(it);
-    return;
-  }
-  send_drill_up(leaf_duty, origin, batch, record);
-}
-
-void DMon::prune_drills(SimTime now) {
-  for (ZoneDuty& duty : duties_) {
-    for (auto it = duty.drills.begin(); it != duty.drills.end();) {
-      auto& requesters = it->second;
-      for (auto rit = requesters.begin(); rit != requesters.end();) {
-        rit = rit->second < now ? requesters.erase(rit) : std::next(rit);
-      }
-      it = requesters.empty() ? duty.drills.erase(it) : std::next(it);
-    }
-  }
 }
 
 PollRecord DMon::poll() {
@@ -1780,37 +1185,14 @@ PollRecord DMon::poll() {
             [](const MetricSample& a, const MetricSample& b) {
               return a.id < b.id;
             });
-  if (hier_) {
-    submit_hier(decision.to_send, record);
-    prune_drills(host_.engine().now());
-    publish_rollups(record);
-    // Requester side: re-announce active drills so they outlive aggregator
-    // failover and age out at the aggregators when this node dies.
-    for (const net::NodeId target : local_drills_) {
-      send_drill_request(target, true);
-    }
-  } else if (monitor_channel_ != nullptr && monitor_channel_->ready() &&
-             monitor_channel_->remote_member_count() > 0) {
-    if (config_.batch.enabled) {
-      submit_batch(decision.to_send, record);
-    } else {
-      submit_per_module(decision.to_send, record);
-    }
-  }
+  const std::size_t deliveries = publish_(decision.to_send, record);
 
   // --- indirect perturbation (cache pollution, deferred kernel work) ----
-  // Under the overlay each submitted event reaches one member (the zone
-  // aggregator) or a zone channel's few candidates, not the whole cluster.
-  const double collateral_events =
-      hier_ ? static_cast<double>(record.events_submitted) +
-                  static_cast<double>(record.events_received)
-            : static_cast<double>(record.events_submitted) *
-                      static_cast<double>(
-                          monitor_channel_ != nullptr
-                              ? monitor_channel_->remote_member_count()
-                              : 0) +
-                  static_cast<double>(record.events_received);
-  charge(config_.overheads.collateral_cycles_per_event * collateral_events);
+  // Per delivered event, sent or received: the route says how many
+  // members each submitted event reached.
+  charge(config_.overheads.collateral_cycles_per_event *
+         (static_cast<double>(deliveries) +
+          static_cast<double>(record.events_received)));
 
   submit_cost_us_.add(record.submit_cost.us());
   receive_cost_us_.add(record.receive_cost.us());

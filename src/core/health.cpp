@@ -57,8 +57,6 @@ HealthEngine::HealthEngine(host::Host& host, telemetry::FlightRecorder* flight,
     series.history.configure(config_.history_depth);
     series_.push_back(std::move(series));
   }
-  series_names_.reserve(series_.size());
-  for (const Series& s : series_) series_names_.push_back(s.name);
 
   // Default watchdogs — the paper-motivated post-mortem triggers: a member
   // eviction, a registry leader failover, or a staleness-SLO breach each
@@ -81,10 +79,6 @@ HealthEngine::Series* HealthEngine::find_series(const std::string& name) {
     if (s.name == name) return &s;
   }
   return nullptr;
-}
-
-const std::vector<std::string>& HealthEngine::series_names() const {
-  return series_names_;
 }
 
 const MetricHistory* HealthEngine::history(const std::string& series) const {

@@ -398,13 +398,4 @@ std::unique_ptr<TopKMonitor> make_topk_process_monitor(
       "topk_pid", k, make_zipf_observer(process_count, zipf_s, seed), params);
 }
 
-std::unique_ptr<TopKMonitor> make_topk_flow_monitor(std::size_t k,
-                                                    std::size_t flow_count,
-                                                    double zipf_s,
-                                                    std::uint64_t seed,
-                                                    SketchParams params) {
-  return std::make_unique<TopKMonitor>(
-      "topk_flow", k, make_zipf_observer(flow_count, zipf_s, seed), params);
-}
-
 }  // namespace dproc::core

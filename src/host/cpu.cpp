@@ -107,10 +107,6 @@ std::size_t Cpu::run_queue_length() const {
   return n;
 }
 
-double Cpu::runnable_count() const {
-  return static_cast<double>(run_queue_length());
-}
-
 double Cpu::runnable_weight() const {
   double total = 0.0;
   for (const auto& [id, task] : tasks_) {

@@ -29,7 +29,6 @@ void Disk::start_next() {
   const SimDuration service =
       config_.seek_time +
       seconds(static_cast<double>(req.bytes) / config_.bandwidth_bytes_per_sec);
-  busy_time_ += service;
 
   engine_.schedule_after(service, [this, req = std::move(req)]() mutable {
     const std::uint64_t sectors = (req.bytes + kSectorSize - 1) / kSectorSize;

@@ -114,7 +114,6 @@ void FaultInjector::apply(const FaultEvent& event) {
   }
   if (hooks_.record) hooks_.record(event);
   applied_.push_back(event);
-  if (observer_) observer_(event);
 }
 
 }  // namespace dproc::sim

@@ -275,7 +275,6 @@ void Server::note_trust_drop(net::NodeId node, std::uint64_t reason) {
 
 void Server::tick() {
   const workload::MdFrame frame = source_.next_frame(host_.engine().now());
-  ++frames_;
   for (auto& [node, client] : clients_) {
     send_frame(client, frame);
   }

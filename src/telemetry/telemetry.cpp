@@ -228,22 +228,6 @@ std::int64_t Registry::now_ns() const {
   return clock_ ? clock_->now().ns() : 0;
 }
 
-void Registry::for_each_counter(
-    const std::function<void(const std::string&, const Counter&)>& fn) const {
-  for (const auto& [name, id] : counter_ids_) fn(name, counters_[id]);
-}
-
-void Registry::for_each_gauge(
-    const std::function<void(const std::string&, const Gauge&)>& fn) const {
-  for (const auto& [name, id] : gauge_ids_) fn(name, gauges_[id]);
-}
-
-void Registry::for_each_latency(
-    const std::function<void(const std::string&, const LatencyRecorder&)>& fn)
-    const {
-  for (const auto& [name, id] : latency_ids_) fn(name, latencies_[id]);
-}
-
 std::string Registry::render() const {
   std::ostringstream out;
   out << "telemetry " << (enabled_ ? "enabled" : "disabled") << "\n";
@@ -377,18 +361,6 @@ std::string render_hop_breakdown(
     out << "\n";
   }
   return out.str();
-}
-
-ScopedSpan::ScopedSpan(Registry& registry, const char* category,
-                       const char* name)
-    : registry_(registry),
-      category_(category),
-      name_(name),
-      start_ns_(registry.now_ns()) {}
-
-ScopedSpan::~ScopedSpan() {
-  registry_.record_span(category_, name_, SimTime{start_ns_},
-                        SimTime{registry_.now_ns()});
 }
 
 }  // namespace dproc::telemetry

@@ -238,7 +238,9 @@ TEST(BatchPublish, InterestSavingsAreAccountedByThePublisher) {
   // effect (values cached from the pre-declaration full batches may
   // remain, but nothing fresh arrives).
   const RemoteMetric* freemem = cluster.dmon(1)->remote_metric(n0, "freemem");
-  if (freemem != nullptr) EXPECT_LT(freemem->received_at, at(4.0));
+  if (freemem != nullptr) {
+    EXPECT_LT(freemem->received_at, at(4.0));
+  }
   // Node 0 never declared: it still receives everything from node 1.
   const net::NodeId n1 = cluster.nic(1).node();
   EXPECT_NE(cluster.dmon(0)->remote_metric(n1, "freemem"), nullptr);

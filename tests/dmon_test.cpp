@@ -71,6 +71,37 @@ TEST_F(DmonTest, StatusFileRendersState) {
   EXPECT_NE(status.value().find("poll_period"), std::string::npos);
 }
 
+TEST(DmonProcfs, PathClashIsCountedInStatus) {
+  // With the health engine on, /proc/cluster/health is a file, so a peer
+  // named "health" cannot get its /proc/cluster/health/... tree. The clash
+  // must be reported, not silently dropped.
+  sim::Engine engine;
+  ClusterConfig config;
+  config.node_count = 2;
+  config.health.enabled = true;
+  Cluster cluster{engine, config};
+  cluster.start_dproc();
+  auto status = cluster.procfs(0).read("/proc/dproc/status");
+  ASSERT_TRUE(status.is_ok());
+  EXPECT_EQ(status.value().find("procfs_conflicts"), std::string::npos)
+      << status.value();
+
+  DMon& dmon = *cluster.dmon(0);
+  dmon.add_peer(7, "health");
+  // Every metric file, plus the peer's status and control files.
+  const std::size_t expected = dmon.metric_table().size() + 2;
+  status = cluster.procfs(0).read("/proc/dproc/status");
+  ASSERT_TRUE(status.is_ok());
+  EXPECT_NE(status.value().find("procfs_conflicts " +
+                                std::to_string(expected) + "\n"),
+            std::string::npos)
+      << status.value();
+  // The existing cluster health view is untouched.
+  auto health = cluster.procfs(0).read("/proc/cluster/health");
+  ASSERT_TRUE(health.is_ok());
+  EXPECT_NE(health.value().find("local "), std::string::npos);
+}
+
 TEST_F(DmonTest, PollReportsSubmitAndReceiveCosts) {
   settle(5.0);
   const PollRecord& record = cluster->dmon(0)->last_poll();

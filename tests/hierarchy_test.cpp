@@ -1,19 +1,16 @@
 // Hierarchical aggregation overlay: layout builder, roll-up state machine,
-// election fallback, end-to-end roll-up/drill-down behaviour, and the
-// aggregator-crash chaos scenario:
+// election fallback, end-to-end roll-up behaviour, and the aggregator-crash
+// chaos scenario:
 //  * the zone tree is a pure function of (node_count, config) — every node
 //    derives the same shape, candidates and parents without a protocol;
 //  * ZoneRollup folds origin feeds and child aggregates with overwrite
 //    semantics, so a re-elected child aggregator never double-counts;
 //  * a subscriber sees one cluster summary whose per-metric count covers
 //    every live node, plus /proc/cluster/rollup and zone files;
-//  * drill-down pulls one node's raw feed through the tree without
-//    flattening its zone;
 //  * with the health engine on, a fault-free overlay scores 100 on every
 //    node: only feeds routed to a node enter its stale census;
 //  * crashing an acting aggregator mid-period converges to the next
-//    candidate, keeps counts duplicate-free, and keeps an active
-//    drill-down alive across the handoff.
+//    candidate and keeps counts duplicate-free.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -27,6 +24,14 @@ namespace dproc::core {
 namespace {
 
 SimTime at(double sec) { return SimTime::zero() + seconds(sec); }
+
+/// A one-entry raw feed: metric `id` sampled at `sampled_ns`.
+net::MonitorBatch feed(std::uint32_t id, double value,
+                       std::int64_t sampled_ns) {
+  net::MonitorBatch batch;
+  batch.entries.push_back({id, value, sampled_ns});
+  return batch;
+}
 
 HierarchyConfig hier(std::size_t zone_size, std::size_t fanout) {
   HierarchyConfig config;
@@ -105,9 +110,9 @@ TEST(HierarchyLayout, ActingElectionFallsThroughDeadCandidates) {
 
 TEST(ZoneRollup, FoldsOriginSamplesIntoOneEntry) {
   ZoneRollup rollup;
-  rollup.update_origin_sample(1, 0, 1.0, 100, at(1.0));
-  rollup.update_origin_sample(2, 0, 3.0, 200, at(1.0));
-  rollup.update_origin_sample(3, 0, 2.0, 300, at(1.0));
+  rollup.update_origin(1, feed(0, 1.0, 100), at(1.0));
+  rollup.update_origin(2, feed(0, 3.0, 200), at(1.0));
+  rollup.update_origin(3, feed(0, 2.0, 300), at(1.0));
   RollupSpec spec;
   spec.top_k = 2;
   net::AggregateBatch out;
@@ -127,8 +132,8 @@ TEST(ZoneRollup, FoldsOriginSamplesIntoOneEntry) {
 
 TEST(ZoneRollup, StaleOriginsAgeOutOfTheBuild) {
   ZoneRollup rollup;
-  rollup.update_origin_sample(1, 0, 1.0, 0, at(0.0));
-  rollup.update_origin_sample(2, 0, 2.0, 0, at(9.0));
+  rollup.update_origin(1, feed(0, 1.0, 0), at(0.0));
+  rollup.update_origin(2, feed(0, 2.0, 0), at(9.0));
   net::AggregateBatch out;
   ASSERT_TRUE(rollup.build(out, RollupSpec{}, at(10.0), seconds(3.0)));
   ASSERT_EQ(out.entries.size(), 1u);
@@ -213,52 +218,11 @@ TEST(HierarchyOverlay, SubscriberSeesOneClusterWideSummary) {
             nullptr);
 }
 
-TEST(HierarchyOverlay, DrillDownPullsOneRawFeedWithoutFlattening) {
-  sim::Engine engine;
-  ClusterConfig config;
-  config.node_count = 16;
-  config.hierarchy = hier(4, 4);
-  config.hierarchy.subscribers = std::vector<std::size_t>{5};
-  config.hierarchy.drill_ttl_periods = 3;
-  Cluster cluster{engine, config};
-  cluster.start_dproc();
-  engine.run_until(at(5.0));
-
-  // Only summary members can drill (they own the summary channel).
-  EXPECT_FALSE(cluster.dmon(8)->drill_down(13, true).is_ok());
-
-  // Procfs is the application-facing switch; node 13 lives in t0.z3.
-  ASSERT_TRUE(cluster.procfs(5).write("/proc/dproc/drilldown", "13").is_ok());
-  engine.run_until(at(10.0));
-  const net::NodeId n13 = cluster.nic(13).node();
-  const RemoteMetric* raw = cluster.dmon(5)->remote_metric(n13, "loadavg");
-  ASSERT_NE(raw, nullptr) << "drilled feed must reach the requester";
-  EXPECT_GT(raw->received_at, at(8.0));
-  // The zone did not flatten: its other members' raw feeds stay zone-local.
-  EXPECT_EQ(cluster.dmon(5)->remote_metric(cluster.nic(14).node(), "loadavg"),
-            nullptr);
-  auto rendered = cluster.procfs(5).read("/proc/dproc/drilldown");
-  ASSERT_TRUE(rendered.is_ok());
-  EXPECT_NE(rendered.value().find("local 13"), std::string::npos);
-
-  // Switching it off stops the feed (explicit disable, not TTL expiry).
-  ASSERT_TRUE(
-      cluster.procfs(5).write("/proc/dproc/drilldown", "13 off").is_ok());
-  engine.run_until(at(12.0));
-  const SimTime stopped_at =
-      cluster.dmon(5)->remote_metric(n13, "loadavg")->received_at;
-  engine.run_until(at(16.0));
-  EXPECT_EQ(cluster.dmon(5)->remote_metric(n13, "loadavg")->received_at,
-            stopped_at)
-      << "feed kept flowing after the drill-down was disabled";
-}
-
 TEST(HierarchyOverlay, HealthCensusCountsOnlyRoutedFeeds) {
   // Under the hierarchy a leaf's members feed only their acting aggregator,
   // so a plain leaf never hears its declared zone mates. With no faults,
   // every node must still score 100: only the acting aggregators (nodes 0,
-  // 4, 8, 12) count their zone mates, and a requester counts its drill
-  // target.
+  // 4, 8, 12) count their zone mates.
   sim::Engine engine;
   ClusterConfig config;
   config.node_count = 16;
@@ -266,8 +230,6 @@ TEST(HierarchyOverlay, HealthCensusCountsOnlyRoutedFeeds) {
   config.health.enabled = true;
   Cluster cluster{engine, config};
   cluster.start_dproc();
-  engine.run_until(at(20.0));
-  ASSERT_TRUE(cluster.procfs(6).write("/proc/dproc/drilldown", "13").is_ok());
   engine.run_until(at(40.0));
 
   const auto health_file = [&](std::size_t node) {
@@ -288,7 +250,6 @@ TEST(HierarchyOverlay, HealthCensusCountsOnlyRoutedFeeds) {
   };
   EXPECT_EQ(census(4), "peers total 3 stale 0 dead 0");  // acting aggregator
   EXPECT_EQ(census(5), "peers total 0 stale 0 dead 0");  // plain leaf
-  EXPECT_EQ(census(6), "peers total 1 stale 0 dead 0");  // drill requester
 }
 
 // ---------------------------------------------------------------------------
@@ -300,7 +261,6 @@ TEST(HierarchyChaos, AggregatorCrashFailsOverWithoutDoubleCounting) {
   config.node_count = 64;
   config.hierarchy = hier(8, 8);
   config.hierarchy.subscribers = std::vector<std::size_t>{20};
-  config.hierarchy.drill_ttl_periods = 5;
   config.liveness.enabled = true;
   config.liveness.heartbeat_period = seconds(1.0);
   config.liveness.miss_threshold = 3;
@@ -312,14 +272,7 @@ TEST(HierarchyChaos, AggregatorCrashFailsOverWithoutDoubleCounting) {
 
   engine.run_until(at(5.0));
   ASSERT_EQ(cluster.dmon(9)->zone_acting(z1), 8u);
-  // An active drill-down through the zone that is about to lose its
-  // aggregator. The request propagates one tier per poll period (each hop
-  // drains its channel at its own poll), so give the pipeline a few
-  // periods before asserting delivery.
-  ASSERT_TRUE(cluster.dmon(20)->drill_down(10, true).is_ok());
   engine.run_until(at(12.0));
-  const net::NodeId n10 = cluster.nic(10).node();
-  ASSERT_NE(cluster.dmon(20)->remote_metric(n10, "loadavg"), nullptr);
 
   // Crash node 8 (acting aggregator of t0.z1) mid-period.
   cluster.crash_node(8);
@@ -343,13 +296,6 @@ TEST(HierarchyChaos, AggregatorCrashFailsOverWithoutDoubleCounting) {
   ASSERT_NE(loadavg, nullptr);
   EXPECT_EQ(loadavg->count, 63u)
       << "either the dead node leaked back in or a survivor double-counted";
-
-  // The drill-down survived the handoff: the requester keeps receiving
-  // node 10's raw feed through the new aggregator (the per-poll
-  // re-announcement re-seeds the routing state at the new acting node).
-  const RemoteMetric* raw = cluster.dmon(20)->remote_metric(n10, "loadavg");
-  ASSERT_NE(raw, nullptr);
-  EXPECT_GT(raw->received_at, at(23.0));
 }
 
 TEST(HierarchyOverlay, DisabledConfigKeepsTheFlatStack) {

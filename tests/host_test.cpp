@@ -149,7 +149,7 @@ TEST_F(CpuTest, InvalidArgumentsThrow) {
   const TaskId server = cpu.add_server_task("srv");
   EXPECT_THROW(cpu.submit_work(server, -1.0, {}), std::invalid_argument);
   EXPECT_THROW(cpu.consume_kernel(seconds(-1.0)), std::invalid_argument);
-  EXPECT_THROW(cpu.task_cpu_time(12345), std::invalid_argument);
+  EXPECT_THROW((void)cpu.task_cpu_time(12345), std::invalid_argument);
 }
 
 // --- memory -------------------------------------------------------------

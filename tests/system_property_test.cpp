@@ -178,7 +178,9 @@ TEST(ProcfsProperty, RandomOperationsNeverCorrupt) {
       case 1: {
         const std::string path = random_path(true);
         auto content = fs.read(path);
-        if (content.is_ok()) EXPECT_EQ(content.value(), "v");
+        if (content.is_ok()) {
+          EXPECT_EQ(content.value(), "v");
+        }
         break;
       }
       case 2:

@@ -18,6 +18,14 @@ std::vector<MetricSample> samples(double loadavg, double freemem,
           {3, cache_miss, t}};
 }
 
+/// An unconditional per-metric period.
+MetricPeriod period_of(const std::string& metric, SimDuration period) {
+  MetricPeriod out;
+  out.metric = metric;
+  out.period = period;
+  return out;
+}
+
 class TuningTest : public ::testing::Test {
  protected:
   PublisherTuning tuning{seconds(1.0), metric_ids()};
@@ -48,7 +56,7 @@ TEST_F(TuningTest, DefaultPeriodOverride) {
 
 TEST_F(TuningTest, PerMetricPeriod) {
   TuningConfig config;
-  config.metric_periods.push_back(MetricPeriod{"loadavg", seconds(3.0)});
+  config.metric_periods.push_back(period_of("loadavg", seconds(3.0)));
   ASSERT_TRUE(tuning.apply(config).is_ok());
   (void)tuning.decide(samples(1, 2, 3, 4), at(0));
   // At 1 s: everything except loadavg.
@@ -130,7 +138,7 @@ TEST_F(TuningTest, ConditionalPeriodTracksGuardEachPoll) {
 
 TEST_F(TuningTest, AdaptivePeriodOverridesDefaultNotRules) {
   TuningConfig config;
-  config.metric_periods.push_back(MetricPeriod{"freemem", seconds(1.0)});
+  config.metric_periods.push_back(period_of("freemem", seconds(1.0)));
   ASSERT_TRUE(tuning.apply(config).is_ok());
   // Controller slows loadavg to 3 s and (ineffectively) freemem to 3 s.
   tuning.set_adaptive_period(0, seconds(3.0));
@@ -242,7 +250,7 @@ TEST_F(TuningTest, NonPositivePeriodsRejected) {
   EXPECT_EQ(tuning.default_period().sec(), 1.0);
 
   TuningConfig metric;
-  metric.metric_periods.push_back(MetricPeriod{"loadavg", seconds(-2.0)});
+  metric.metric_periods.push_back(period_of("loadavg", seconds(-2.0)));
   status = tuning.apply(metric);
   EXPECT_FALSE(status.is_ok());
   EXPECT_NE(status.to_string().find("update period must be positive"),

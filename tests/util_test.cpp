@@ -272,7 +272,7 @@ TEST(Result, ValueRoundTrip) {
 TEST(Result, ErrorAccessThrows) {
   Result<int> r{Status::invalid_argument("nope")};
   EXPECT_FALSE(r.is_ok());
-  EXPECT_THROW(r.value(), std::logic_error);
+  EXPECT_THROW((void)r.value(), std::logic_error);
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(r.ok_or_nullopt(), std::nullopt);
 }
