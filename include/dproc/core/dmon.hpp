@@ -33,6 +33,7 @@
 #include "dproc/core/tuning.hpp"
 #include "dproc/kecho/node.hpp"
 #include "dproc/procfs/procfs.hpp"
+#include "dproc/util/flat_map.hpp"
 #include "dproc/util/stats.hpp"
 
 namespace dproc::core {
@@ -212,7 +213,12 @@ class DMon {
   void register_module(std::unique_ptr<MonitoringModule> module);
 
   /// Declares a peer node: creates /proc/cluster/<name>/... including the
-  /// control file through which applications retune that node.
+  /// control file through which applications retune that node. A name
+  /// that is one of the cluster's own /proc/cluster entries (health,
+  /// summary, rollup, zones) is refused: the peer's feed is still tracked,
+  /// but it gets no files, counts one procfs conflict, and its departure
+  /// removes nothing. A re-declaration of a known peer under such a name
+  /// keeps its old name and files.
   void add_peer(net::NodeId node, const std::string& name);
 
   /// Joins the channels and starts the periodic polling loop.
@@ -255,7 +261,7 @@ class DMon {
   /// Visits every declared peer: fn(node, name).
   template <typename Fn>
   void for_each_peer(Fn&& fn) const {
-    for (const auto& [node, peer] : peers_) fn(node, peer.name);
+    for (const auto [node, peer] : peers_) fn(node, peer.name);
   }
 
   /// Observer invoked after each poll's collection phase with the full
@@ -337,11 +343,11 @@ class DMon {
   /// through /proc/dproc/interest ("all" clears).
   Status declare_interest(std::vector<std::string> modules);
 
-  /// Publisher-side view: interest sets peers have declared to us.
-  [[nodiscard]] const std::map<net::NodeId, std::vector<std::string>>&
-  peer_interests() const {
-    return peer_interests_;
-  }
+  /// Publisher-side view: the interest set `node` declared to us (sorted
+  /// module names), or nullptr when it declared none. Peers that declared
+  /// equal sets share one interned set object.
+  [[nodiscard]] const std::vector<std::string>* peer_interest(
+      net::NodeId node) const;
 
   // --- hierarchical aggregation overlay ----------------------------------
 
@@ -425,6 +431,13 @@ class DMon {
   void on_control_event(const kecho::Event& event);
   /// Stores a peer's interest declaration (control-channel kOpInterest).
   void on_interest_event(const kecho::Event& event, net::ByteReader& r);
+  /// Points `node` at the interned copy of `modules` (sorted, deduped),
+  /// interning it if new; an empty set forgets the peer's declaration.
+  void set_peer_interest(net::NodeId node, std::vector<std::string> modules);
+  /// This period's frame for members holding interest set `set`: the
+  /// batch's entries from the set's modules, or nullptr when none match.
+  [[nodiscard]] net::MessagePtr encode_interest_frame(
+      const net::MonitorBatch& batch, const std::vector<std::string>& set);
   /// Legacy per-module publication (one frame per module with samples).
   void submit_per_module(std::vector<MetricSample>& sorted,
                          PollRecord& record);
@@ -494,7 +507,9 @@ class DMon {
   std::vector<MetricSample> last_collected_;  // local values, id order
 
   std::unique_ptr<PublisherTuning> tuning_;
-  std::map<net::NodeId, Peer> peers_;
+  /// Declared peers in ascending node order: the order every peer walk
+  /// (liveness census, procfs views) visits them in.
+  FlatMap<net::NodeId, Peer> peers_;
 
   /// Bridge from the first TopKMonitor's sketch to the filter VM
   /// (DmonConfig::sketch; additional TopKMonitors register as auxiliaries).
@@ -543,8 +558,16 @@ class DMon {
   /// Module ranges in id order (mirror of modules_, for grouping).
   std::vector<MetricRange> module_ranges_;
   std::vector<std::vector<MetricSample>> groups_scratch_;
-  /// Interest sets declared *by* peers (publisher side), sorted + deduped.
-  std::map<net::NodeId, std::vector<std::string>> peer_interests_;
+  /// Interest sets declared *by* peers (publisher side), interned: each
+  /// distinct set (sorted, deduped) is stored once with the number of
+  /// peers holding it; a slot nobody holds is reused by the next new set.
+  struct InterestSet {
+    std::vector<std::string> modules;
+    std::size_t holders = 0;
+  };
+  std::vector<InterestSet> interest_sets_;
+  /// Per declaring peer, the index of its set in interest_sets_.
+  FlatMap<net::NodeId, std::uint32_t> peer_interests_;
   /// Interest this node declared (subscriber side); re-broadcast on joins.
   std::vector<std::string> local_interest_;
   bool interest_declared_ = false;
@@ -555,9 +578,13 @@ class DMon {
   net::MonitorBatch rx_batch_;        // take_raw_batch
   net::MonitorBatch batch_scratch_;   // this period's outgoing batch
   net::MonitorBatch filtered_scratch_;  // interest-filtered variant
-  /// Per-distinct-interest-set frame cache (cleared, capacity kept).
-  std::vector<std::pair<const std::vector<std::string>*, net::MessagePtr>>
-      interest_cache_;
+  /// This period's frame per interest set, indexed like interest_sets_
+  /// and built on first use (reset each period, capacity kept).
+  struct InterestFrame {
+    bool built = false;
+    net::MessagePtr frame;  // null: nothing in the set's modules
+  };
+  std::vector<InterestFrame> interest_frames_;
 
   std::uint64_t collect_errors_ = 0;
   std::uint64_t stray_samples_ = 0;

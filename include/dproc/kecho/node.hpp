@@ -32,6 +32,7 @@
 #include "dproc/kecho/registry.hpp"
 #include "dproc/net/tcp.hpp"
 #include "dproc/net/wire.hpp"
+#include "dproc/util/flat_map.hpp"
 
 namespace dproc::kecho {
 
@@ -344,7 +345,7 @@ class Node {
   void on_registry_datagram(const net::MessagePtr& message);
   void on_peer_message(const net::MessagePtr& message);
   /// Lazily opens (or reuses) the transport to a peer kernel.
-  net::TcpConnection::Ptr& transport_to(net::NodeId peer);
+  net::TcpConnection& transport_to(net::NodeId peer);
 
   /// Sends the join request for `channel` and, when retries are on, arms a
   /// backoff retry that refires until the join response arrives. Retries
@@ -423,7 +424,9 @@ class Node {
   /// Dense id → channel lookup; the registry hands out small sequential
   /// ids, so the receive path indexes instead of tree-walking.
   std::vector<Channel*> channels_by_id_;
-  std::map<net::NodeId, net::TcpConnection::Ptr> transports_;
+  /// Outgoing transports by peer, in ascending node order (the order
+  /// crash and reset close them in).
+  FlatMap<net::NodeId, net::TcpConnection::Ptr> transports_;
   std::unique_ptr<net::TcpListener> listener_;
   std::vector<net::TcpConnection::Ptr> accepted_;
 

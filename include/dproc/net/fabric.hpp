@@ -176,6 +176,20 @@ class Fabric {
   /// maintained (plain increments on paths that already branch).
   [[nodiscard]] const FabricStats& stats() const { return stats_; }
 
+  /// TCP connection identity, allocated per fabric so that a cluster's
+  /// flow ids and ports do not depend on what else the process built
+  /// before it. Flow ids count up from 1; client ports cycle through the
+  /// ephemeral range [32768, 65535], never reaching a well-known port.
+  std::uint64_t next_flow_id() { return next_flow_id_++; }
+  Port next_ephemeral_port() {
+    const Port port = next_port_;
+    next_port_ = port == kLastEphemeralPort ? kFirstEphemeralPort
+                                            : static_cast<Port>(port + 1);
+    return port;
+  }
+  static constexpr Port kFirstEphemeralPort = 32768;
+  static constexpr Port kLastEphemeralPort = 65535;
+
  private:
   /// A packet on a link, with the rest of its way: the explicit route, or
   /// null for the implicit star route (hop 0 = sender's uplink, hop 1 =
@@ -213,6 +227,8 @@ class Fabric {
   std::vector<bool> node_down_;
   TraceHook trace_;
   FabricStats stats_;
+  std::uint64_t next_flow_id_ = 1;
+  Port next_port_ = kFirstEphemeralPort;
 };
 
 }  // namespace dproc::net

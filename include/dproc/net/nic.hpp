@@ -9,11 +9,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <vector>
 
 #include "dproc/net/fabric.hpp"
 #include "dproc/net/packet.hpp"
+#include "dproc/util/flat_map.hpp"
 #include "dproc/util/stats.hpp"
 
 namespace dproc::net {
@@ -60,7 +59,8 @@ class Nic {
   [[nodiscard]] const NicStats& stats() const { return stats_; }
 
   /// Receiver-side stats for a sender's datagram flow, keyed by
-  /// (source node, source port). Missing key => no traffic seen yet.
+  /// (source node, source port). Missing key => no traffic seen yet. The
+  /// pointer is valid until a datagram from a new flow arrives.
   [[nodiscard]] const DatagramFlowStats* datagram_flow(NodeId from,
                                                        Port from_port) const;
 
@@ -76,8 +76,12 @@ class Nic {
   /// Raw packet injection used by the TCP layer; accounts NIC tx bytes.
   void send_packet(Packet packet);
 
-  /// Enumerates live TCP connections (for NET_MON).
-  [[nodiscard]] std::vector<TcpConnection*> tcp_connections() const;
+  /// Visits every live TCP connection in ascending flow-id order (for
+  /// NET_MON): fn(const TcpConnection&). Allocates nothing.
+  template <typename Fn>
+  void for_each_tcp_connection(Fn&& fn) const {
+    for (const auto [flow_id, conn] : tcp_conns_) fn(*conn);
+  }
 
  private:
   void on_delivery(const Packet& packet);
@@ -87,20 +91,27 @@ class Nic {
   NodeId node_;
   NicStats stats_;
 
-  std::map<Port, DatagramHandler> datagram_handlers_;
-  std::map<Port, SynHandler> tcp_listeners_;
-  std::map<std::uint64_t, TcpConnection*> tcp_conns_;
+  FlatMap<Port, DatagramHandler> datagram_handlers_;
+  FlatMap<Port, SynHandler> tcp_listeners_;
+  /// Segment demux: live connections by flow id. Ascending flow-id order
+  /// is also NET_MON's summation order, so its published RTT mean does
+  /// not depend on the order connections were registered in.
+  FlatMap<std::uint64_t, TcpConnection*> tcp_conns_;
 
   // Fabric routes are FIFO with no multipath, so datagram fragments never
-  // reorder: any sequence gap is a definitive loss. One state machine per
-  // (source node, source port) flow.
-  struct FragmentState {
+  // reorder: any sequence gap is a definitive loss. One record per
+  // (source node, source port) flow: the reassembly state machine and the
+  // flow's receive stats, found with one lookup per fragment.
+  struct DatagramFlow {
     std::int64_t current_index = -1;  // datagram being reassembled
     std::uint64_t fragments = 0;      // fragments of it seen so far
     bool finished = false;            // delivered or declared lost
+    DatagramFlowStats stats;
   };
-  std::map<std::pair<NodeId, Port>, FragmentState> fragment_state_;
-  std::map<std::pair<NodeId, Port>, DatagramFlowStats> flow_stats_;
+  static std::uint64_t flow_key(NodeId from, Port from_port) {
+    return (static_cast<std::uint64_t>(from) << 16) | from_port;
+  }
+  FlatMap<std::uint64_t, DatagramFlow> datagram_flows_;
 
   std::uint64_t next_datagram_index_ = 0;
 

@@ -75,8 +75,13 @@ class TcpConnection : public std::enable_shared_from_this<TcpConnection> {
   /// Snapshot of the connection counters NET_MON publishes.
   [[nodiscard]] TcpStats stats() const;
 
-  /// Smoothed RTT; zero until the first sample.
-  [[nodiscard]] SimDuration srtt() const { return microseconds(srtt_us_.value()); }
+  /// The two counters NET_MON's per-poll walk reads, without the rest of
+  /// the stats() snapshot: smoothed RTT in microseconds (zero until the
+  /// first sample) and cumulative retransmissions.
+  [[nodiscard]] double srtt_us() const { return srtt_us_.value(); }
+  [[nodiscard]] std::uint64_t retransmissions() const {
+    return counters_.retransmissions;
+  }
 
   /// Tears the connection down locally (no FIN exchange is modeled).
   void close();

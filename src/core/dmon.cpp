@@ -19,6 +19,14 @@ namespace {
 // the payload itself.
 constexpr std::size_t kKechoHeaderBytes = 4 + 4 + 8 + 4;
 
+// The cluster's own entries under /proc/cluster. ProcFs::register_file
+// replaces an existing file, so a peer by one of these names would take
+// over the cluster's files instead of clashing with them.
+bool reserved_peer_name(const std::string& name) {
+  return name == "health" || name == "summary" || name == "rollup" ||
+         name == "zones";
+}
+
 net::MessagePtr encode_monitor_event(const std::vector<MetricSample>& samples) {
   net::ByteWriter w;
   w.u8(DMon::kOpMonitor);
@@ -184,9 +192,11 @@ DMon::DMon(host::Host& host, net::Nic& nic, kecho::Node& kecho,
         if (local_interest_.empty()) out << " all";
         for (const std::string& name : local_interest_) out << " " << name;
         out << "\n";
-        for (const auto& [node, set] : peer_interests_) {
+        for (const auto [node, set] : peer_interests_) {
           out << "peer " << node;
-          for (const std::string& name : set) out << " " << name;
+          for (const std::string& name : interest_sets_[set].modules) {
+            out << " " << name;
+          }
           out << "\n";
         }
         return out.str();
@@ -258,7 +268,7 @@ DMon::DMon(host::Host& host, net::Nic& nic, kecho::Node& kecho,
       std::ostringstream out;
       out << "local " << host_.name() << " score " << health_->score()
           << " trusted " << (health_->trusted() ? 1 : 0) << "\n";
-      for (const auto& [node, peer] : peers_) {
+      for (const auto [node, peer] : peers_) {
         out << "peer " << node << " " << peer.name << " score ";
         const RemoteMetric* m = remote_metric(node, "dproc_health_score");
         if (m == nullptr) {
@@ -358,8 +368,9 @@ void DMon::register_module(std::unique_ptr<MonitoringModule> module) {
   rebuild_tuning();
 
   // Peers declared before this module gained metrics: create their files.
-  for (auto& [node, peer] : peers_) {
+  for (auto [node, peer] : peers_) {
     peer.metrics.resize(metric_table_.size());
+    if (reserved_peer_name(peer.name)) continue;
     register_peer_metric_files(node, peer.name, added.first_id);
   }
 }
@@ -372,12 +383,12 @@ void DMon::register_peer_metric_files(net::NodeId node,
     const MetricId id = desc.id;
     register_file(
         "/proc/cluster/" + name + "/" + desc.path, [this, node, id] {
-          auto it = peers_.find(node);
-          if (it == peers_.end() || id >= it->second.metrics.size()) {
+          const Peer* peer = peers_.find(node);
+          if (peer == nullptr || id >= peer->metrics.size()) {
             return std::string{"no data\n"};
           }
-          return render_value(it->second.metrics[id], host_.engine().now(),
-                              state_of(it->second));
+          return render_value(peer->metrics[id], host_.engine().now(),
+                              state_of(*peer));
         });
   }
 }
@@ -396,16 +407,22 @@ void DMon::register_local_files(const ModuleEntry& entry) {
 }
 
 void DMon::add_peer(net::NodeId node, const std::string& name) {
-  auto [it, created] = peers_.try_emplace(node);
-  Peer& peer = it->second;
-  peer.name = name;
+  auto [peer, created] = peers_.try_emplace(node);
   peer.metrics.resize(metric_table_.size());
   if (created) peer.declared_at = host_.engine().now();
+  if (reserved_peer_name(name)) {
+    if (created) peer.name = name;
+    note_procfs_conflict(
+        "/proc/cluster/" + name,
+        Status::already_exists("reserved for the cluster's own files"));
+    return;
+  }
+  peer.name = name;
   register_peer_metric_files(node, name, 0);
   register_file("/proc/cluster/" + name + "/status", [this, node] {
-    auto peer_it = peers_.find(node);
-    if (peer_it == peers_.end()) return std::string{"state dead\n"};
-    const Peer& p = peer_it->second;
+    const Peer* found = peers_.find(node);
+    if (found == nullptr) return std::string{"state dead\n"};
+    const Peer& p = *found;
     std::ostringstream out;
     out << "state " << to_string(state_of(p)) << "\n"
         << "has_data " << (p.has_data ? 1 : 0) << "\n"
@@ -495,7 +512,7 @@ void DMon::stop() {
 
 void DMon::restart() {
   stop();
-  for (auto& [node, peer] : peers_) {
+  for (auto [node, peer] : peers_) {
     std::fill(peer.metrics.begin(), peer.metrics.end(), RemoteMetric{});
     peer.declared_at = host_.engine().now();
     peer.last_update = SimTime{};
@@ -525,21 +542,21 @@ PeerState DMon::state_of(const Peer& peer) const {
 }
 
 std::optional<PeerHealth> DMon::peer_health(net::NodeId node) const {
-  auto it = peers_.find(node);
-  if (it == peers_.end()) return std::nullopt;
-  const Peer& peer = it->second;
+  const Peer* found = peers_.find(node);
+  if (found == nullptr) return std::nullopt;
+  const Peer& peer = *found;
   return PeerHealth{state_of(peer), peer.last_update, peer.has_data,
                     feed_within_slo(node)};
 }
 
 bool DMon::feed_within_slo(net::NodeId node) const {
-  auto it = peers_.find(node);
-  if (it == peers_.end() || !it->second.slo_violated) return true;
+  const Peer* peer = peers_.find(node);
+  if (peer == nullptr || !peer->slo_violated) return true;
   // Sticky for the staleness horizon: one violation distrusts the feed
   // until a horizon's worth of in-budget updates has passed.
   const SimDuration horizon =
       config_.poll_period * static_cast<double>(config_.stale_after_periods);
-  return host_.engine().now() - it->second.last_slo_violation > horizon;
+  return host_.engine().now() - peer->last_slo_violation > horizon;
 }
 
 PeerState DMon::peer_state(net::NodeId node) const {
@@ -566,7 +583,7 @@ void DMon::scan_peer_health(SimTime now) {
   // Only peers whose raw feed is routed here can go stale (the route's
   // census predicate).
   HealthSnapshot census;
-  for (auto& [node, peer] : peers_) {
+  for (auto [node, peer] : peers_) {
     if (!routed_(node)) continue;
     ++census.peers_total;
     const PeerState state = state_of(peer);
@@ -613,23 +630,26 @@ void DMon::on_membership(kecho::MemberEventKind kind, net::NodeId node) {
     // A confirmed departure forgets the peer's interest; an eviction does
     // not (it may be spurious, and a wrongly-narrowed feed is worse than a
     // few extra bytes to a dead node).
-    peer_interests_.erase(node);
+    set_peer_interest(node, {});
   }
-  auto it = peers_.find(node);
-  if (it == peers_.end()) return;
+  Peer* peer = peers_.find(node);
+  if (peer == nullptr) return;
   switch (kind) {
     case kecho::MemberEventKind::kJoined:
       // A (re)joined peer gets a fresh grace window before going stale.
-      it->second.dead = false;
-      if (!it->second.has_data) it->second.declared_at = host_.engine().now();
+      peer->dead = false;
+      if (!peer->has_data) peer->declared_at = host_.engine().now();
       break;
     case kecho::MemberEventKind::kEvicted:
-      it->second.dead = true;
+      peer->dead = true;
       break;
     case kecho::MemberEventKind::kLeft:
-      // Confirmed departure: purge the procfs subtree and forget the peer.
-      (void)procfs_.remove("/proc/cluster/" + it->second.name);
-      peers_.erase(it);
+      // Confirmed departure: purge the procfs subtree (a peer refused its
+      // reserved name has none) and forget the peer.
+      if (!reserved_peer_name(peer->name)) {
+        (void)procfs_.remove("/proc/cluster/" + peer->name);
+      }
+      peers_.erase(node);
       break;
   }
 }
@@ -653,9 +673,9 @@ std::optional<MetricId> DMon::metric_id(const std::string& key) const {
 }
 
 const RemoteMetric* DMon::remote_metric(net::NodeId node, MetricId id) const {
-  auto it = peers_.find(node);
-  if (it == peers_.end() || id >= it->second.metrics.size()) return nullptr;
-  const RemoteMetric& metric = it->second.metrics[id];
+  const Peer* peer = peers_.find(node);
+  if (peer == nullptr || id >= peer->metrics.size()) return nullptr;
+  const RemoteMetric& metric = peer->metrics[id];
   return metric.valid ? &metric : nullptr;
 }
 
@@ -791,15 +811,15 @@ void DMon::note_render(const kecho::Event& event,
 }
 
 DMon::Peer& DMon::refresh_peer(net::NodeId origin) {
-  auto it = peers_.find(origin);
-  if (it == peers_.end()) {
+  Peer* found = peers_.find(origin);
+  if (found == nullptr) {
     // Peer never declared: learn it from the fabric's name table.
     add_peer(origin, nic_.fabric().node_name(origin));
-    it = peers_.find(origin);
+    found = peers_.find(origin);
   }
   // Any update is a sign of life: refresh the staleness clock and clear a
   // possibly spurious eviction.
-  Peer& peer = it->second;
+  Peer& peer = *found;
   peer.last_update = host_.engine().now();
   peer.has_data = true;
   peer.dead = false;
@@ -896,15 +916,41 @@ void DMon::on_interest_event(const kecho::Event& event, net::ByteReader& r) {
   }
   std::sort(modules.begin(), modules.end());
   modules.erase(std::unique(modules.begin(), modules.end()), modules.end());
-  if (modules.empty()) {
-    // Empty set = interested in everything again.
-    peer_interests_.erase(event.source);
-  } else {
-    peer_interests_[event.source] = std::move(modules);
-  }
+  // Empty set = interested in everything again.
+  set_peer_interest(event.source, std::move(modules));
   // Storing the declaration is its render hop: it became effective.
   note_render(event, config_.control_channel, nullptr);
   charge_intake();
+}
+
+void DMon::set_peer_interest(net::NodeId node,
+                             std::vector<std::string> modules) {
+  if (const std::uint32_t* held = peer_interests_.find(node)) {
+    InterestSet& old = interest_sets_[*held];
+    if (--old.holders == 0) old.modules.clear();
+  }
+  if (modules.empty()) {
+    peer_interests_.erase(node);
+    return;
+  }
+  std::size_t slot = interest_sets_.size();
+  for (std::size_t i = 0; i < interest_sets_.size(); ++i) {
+    const InterestSet& set = interest_sets_[i];
+    if (set.holders > 0 && set.modules == modules) {
+      slot = i;
+      break;
+    }
+    if (set.holders == 0 && slot == interest_sets_.size()) slot = i;
+  }
+  if (slot == interest_sets_.size()) interest_sets_.emplace_back();
+  InterestSet& set = interest_sets_[slot];
+  if (set.holders++ == 0) set.modules = std::move(modules);
+  peer_interests_.try_emplace(node).first = static_cast<std::uint32_t>(slot);
+}
+
+const std::vector<std::string>* DMon::peer_interest(net::NodeId node) const {
+  const std::uint32_t* set = peer_interests_.find(node);
+  return set == nullptr ? nullptr : &interest_sets_[*set].modules;
 }
 
 Status DMon::declare_interest(std::vector<std::string> modules) {
@@ -1027,56 +1073,27 @@ void DMon::submit_batch(std::vector<MetricSample>& sorted, PollRecord& record) {
     record.submit_cost +=
         monitor_channel_->submit(full, begin_trace(monitor_channel_->id()));
   } else {
-    // Per-member payload selection: one filtered frame per distinct
+    // Per-member payload selection: one filtered frame per interned
     // interest set (members sharing a set share the encoding), the full
     // frame for members that never declared, nullptr (skip) for members
-    // whose set matches nothing in this batch. The cache vector and the
-    // filtered batch are persistent scratch — cleared here, capacity kept.
-    auto& cache = interest_cache_;
-    cache.clear();
+    // whose set matches nothing in this batch. The frame slots and the
+    // filtered batch are persistent scratch — reset here, capacity kept.
+    interest_frames_.assign(interest_sets_.size(), InterestFrame{});
     std::uint64_t saved = 0;
-    auto interested = [this](const std::vector<std::string>& set,
-                             MetricId id) {
-      for (std::size_t mi = 0; mi < module_ranges_.size(); ++mi) {
-        const MetricRange& range = module_ranges_[mi];
-        if (id >= range.first && id < range.first + range.count) {
-          return std::binary_search(set.begin(), set.end(),
-                                    modules_[mi].module->name());
-        }
-      }
-      return false;
-    };
     auto select = [&](net::NodeId member) -> net::MessagePtr {
-      auto it = peer_interests_.find(member);
-      if (it == peer_interests_.end() || it->second.empty()) return full;
-      net::MessagePtr frame;
-      bool cached = false;
-      for (const auto& [set, cached_frame] : cache) {
-        if (*set == it->second) {
-          frame = cached_frame;
-          cached = true;
-          break;
-        }
+      const std::uint32_t* set = peer_interests_.find(member);
+      if (set == nullptr) return full;
+      InterestFrame& slot = interest_frames_[*set];
+      if (!slot.built) {
+        slot.frame = encode_interest_frame(batch, interest_sets_[*set].modules);
+        slot.built = true;
       }
-      if (!cached) {
-        filtered_scratch_.flags = batch.flags;
-        filtered_scratch_.entries.clear();
-        for (const net::MonitorBatch::Entry& e : batch.entries) {
-          if (interested(it->second, e.id)) {
-            filtered_scratch_.entries.push_back(e);
-          }
-        }
-        if (!filtered_scratch_.entries.empty()) {
-          frame = encode_batch(filtered_scratch_);
-        }
-        cache.emplace_back(&it->second, frame);
-      }
-      if (frame == nullptr) {
+      if (slot.frame == nullptr) {
         saved += full->size() + kKechoHeaderBytes;
-      } else if (frame != full) {
-        saved += full->size() - frame->size();
+      } else {
+        saved += full->size() - slot.frame->size();
       }
-      return frame;
+      return slot.frame;
     };
     record.submit_cost += monitor_channel_->submit_to_each(
         select, begin_trace(monitor_channel_->id()));
@@ -1084,6 +1101,33 @@ void DMon::submit_batch(std::vector<MetricSample>& sorted, PollRecord& record) {
     tm_bytes_saved_.add(saved);
   }
   count_batch_submit(record, batch);
+}
+
+net::MessagePtr DMon::encode_interest_frame(
+    const net::MonitorBatch& batch, const std::vector<std::string>& set) {
+  filtered_scratch_.flags = batch.flags;
+  filtered_scratch_.entries.clear();
+  // Entries and module ranges both ascend: one cursor walks the ranges,
+  // and each module's membership in the set is looked up once.
+  std::size_t mi = 0;
+  std::size_t looked_up = module_ranges_.size();
+  bool wanted = false;
+  for (const net::MonitorBatch::Entry& e : batch.entries) {
+    while (mi < module_ranges_.size() &&
+           e.id >= module_ranges_[mi].first + module_ranges_[mi].count) {
+      ++mi;
+    }
+    if (mi == module_ranges_.size()) break;
+    if (e.id < module_ranges_[mi].first) continue;
+    if (looked_up != mi) {
+      looked_up = mi;
+      wanted = std::binary_search(set.begin(), set.end(),
+                                  modules_[mi].module->name());
+    }
+    if (wanted) filtered_scratch_.entries.push_back(e);
+  }
+  if (filtered_scratch_.entries.empty()) return nullptr;
+  return encode_batch(filtered_scratch_);
 }
 
 void DMon::count_batch_submit(PollRecord& record,

@@ -159,18 +159,20 @@ void NetMonitor::collect(std::vector<MetricSample>& out, SimTime now) {
   seeded_ = true;
 
   // Smoothed RTT averaged across live connections; retransmissions are the
-  // cumulative count, matching a kernel's netstat counters.
+  // cumulative count, matching a kernel's netstat counters. The walk goes
+  // in ascending flow-id order, which fixes the summation order and so the
+  // published mean's exact bits.
   double rtt_sum = 0.0;
   std::uint64_t retrans = 0;
   std::size_t conns = 0;
-  for (const net::TcpConnection* conn : nic_.tcp_connections()) {
-    const net::TcpStats s = conn->stats();
-    if (s.srtt_us > 0) {
-      rtt_sum += s.srtt_us;
+  nic_.for_each_tcp_connection([&](const net::TcpConnection& conn) {
+    const double srtt_us = conn.srtt_us();
+    if (srtt_us > 0) {
+      rtt_sum += srtt_us;
       ++conns;
     }
-    retrans += s.retransmissions;
-  }
+    retrans += conn.retransmissions();
+  });
 
   const double avail =
       std::max(0.0, link_capacity_bps_ - std::max(in_bps, out_bps));
@@ -186,13 +188,13 @@ void NetMonitor::collect(std::vector<MetricSample>& out, SimTime now) {
 std::string NetMonitor::render_connections() const {
   std::ostringstream out;
   out << "flow  local  remote  srtt_us  retrans  in_flight  send_queue\n";
-  for (const net::TcpConnection* conn : nic_.tcp_connections()) {
-    const net::TcpStats s = conn->stats();
-    out << conn->flow_id() << "  " << conn->local_node() << "  "
-        << conn->remote_node() << "  " << s.srtt_us << "  "
+  nic_.for_each_tcp_connection([&out](const net::TcpConnection& conn) {
+    const net::TcpStats s = conn.stats();
+    out << conn.flow_id() << "  " << conn.local_node() << "  "
+        << conn.remote_node() << "  " << s.srtt_us << "  "
         << s.retransmissions << "  " << s.in_flight_bytes << "  "
         << s.send_queue_bytes << "\n";
-  }
+  });
   return out.str();
 }
 

@@ -105,7 +105,7 @@ SimDuration Channel::send_each(const Select& select, net::TraceContext trace) {
       node_.nic().send_datagram(member.node, Node::kDatagramEventPort,
                                 sent->frame, Node::kDatagramEventPort);
     } else {
-      node_.transport_to(member.node)->send(sent->frame);
+      node_.transport_to(member.node).send(sent->frame);
     }
     if (node_.liveness_.enabled) node_.note_submission(member.node, now);
   }
@@ -338,7 +338,7 @@ void Node::liveness_tick() {
 void Node::send_heartbeat(net::NodeId peer) {
   const net::MessagePtr frame = encode_event(
       kHeartbeatChannel, nic_.node(), host_.engine().now(), heartbeat_payload_);
-  transport_to(peer)->send(frame);
+  transport_to(peer).send(frame);
   ++heartbeats_sent_;
   tm_heartbeats_.add();
 }
@@ -360,7 +360,7 @@ bool Node::member_learned(Member member) {
 }
 
 void Node::reset_transports() {
-  for (auto& [peer, conn] : transports_) conn->close();
+  for (auto [peer, conn] : transports_) conn->close();
   transports_.clear();
   for (auto& conn : accepted_) conn->close();
   accepted_.clear();
@@ -387,10 +387,9 @@ void Node::forget_peer(net::NodeId peer) {
     std::erase_if(channel->members_,
                   [peer](const Member& m) { return m.node == peer; });
   }
-  auto it = transports_.find(peer);
-  if (it != transports_.end()) {
-    it->second->close();
-    transports_.erase(it);
+  if (net::TcpConnection::Ptr* conn = transports_.find(peer)) {
+    (*conn)->close();
+    transports_.erase(peer);
   }
   std::erase_if(accepted_, [peer](const net::TcpConnection::Ptr& conn) {
     if (conn->remote_node() != peer) return false;
@@ -459,7 +458,7 @@ void Node::crash() {
     channel->rx_queue_.clear();
   }
   std::fill(channels_by_id_.begin(), channels_by_id_.end(), nullptr);
-  for (auto& [peer, conn] : transports_) conn->close();
+  for (auto [peer, conn] : transports_) conn->close();
   transports_.clear();
   for (auto& conn : accepted_) conn->close();
   accepted_.clear();
@@ -721,15 +720,14 @@ void Node::on_registry_datagram(const net::MessagePtr& message) {
   }
 }
 
-net::TcpConnection::Ptr& Node::transport_to(net::NodeId peer) {
-  auto it = transports_.find(peer);
-  if (it == transports_.end()) {
-    auto conn = net::TcpConnection::connect(nic_, peer, kChannelPort);
-    conn->set_message_handler(
-        [this](const net::MessagePtr& m) { on_peer_message(m); });
-    it = transports_.emplace(peer, std::move(conn)).first;
-  }
-  return it->second;
+net::TcpConnection& Node::transport_to(net::NodeId peer) {
+  if (net::TcpConnection::Ptr* open = transports_.find(peer)) return **open;
+  auto conn = net::TcpConnection::connect(nic_, peer, kChannelPort);
+  conn->set_message_handler(
+      [this](const net::MessagePtr& m) { on_peer_message(m); });
+  net::TcpConnection& opened = *conn;
+  transports_.try_emplace(peer).first = std::move(conn);
+  return opened;
 }
 
 void Node::on_peer_message(const net::MessagePtr& message) {

@@ -15,11 +15,11 @@ Nic::~Nic() {
   fabric_.set_delivery_handler(node_, {});
   // Engine callbacks may keep connections alive past this point; sever
   // their back references so late destruction cannot touch freed memory.
-  for (auto& [id, conn] : tcp_conns_) conn->detach_from_nic();
+  for (auto [id, conn] : tcp_conns_) conn->detach_from_nic();
 }
 
 void Nic::bind_datagram(Port port, DatagramHandler handler) {
-  datagram_handlers_[port] = std::move(handler);
+  datagram_handlers_.try_emplace(port).first = std::move(handler);
 }
 
 void Nic::send_datagram(NodeId dst, Port dst_port, const MessagePtr& message,
@@ -56,25 +56,18 @@ void Nic::send_packet(Packet packet) {
 }
 
 const DatagramFlowStats* Nic::datagram_flow(NodeId from, Port from_port) const {
-  auto it = flow_stats_.find({from, from_port});
-  return it == flow_stats_.end() ? nullptr : &it->second;
+  const DatagramFlow* flow = datagram_flows_.find(flow_key(from, from_port));
+  return flow == nullptr ? nullptr : &flow->stats;
 }
 
 void Nic::register_tcp(std::uint64_t flow_id, TcpConnection* conn) {
-  tcp_conns_[flow_id] = conn;
+  tcp_conns_.try_emplace(flow_id).first = conn;
 }
 
 void Nic::unregister_tcp(std::uint64_t flow_id) { tcp_conns_.erase(flow_id); }
 
 void Nic::bind_tcp_listener(Port port, SynHandler handler) {
-  tcp_listeners_[port] = std::move(handler);
-}
-
-std::vector<TcpConnection*> Nic::tcp_connections() const {
-  std::vector<TcpConnection*> conns;
-  conns.reserve(tcp_conns_.size());
-  for (const auto& [id, conn] : tcp_conns_) conns.push_back(conn);
-  return conns;
+  tcp_listeners_.try_emplace(port).first = std::move(handler);
 }
 
 void Nic::on_delivery(const Packet& packet) {
@@ -84,16 +77,16 @@ void Nic::on_delivery(const Packet& packet) {
       deliver_datagram(packet);
       return;
     case PacketKind::kTcpSyn: {
-      auto it = tcp_listeners_.find(packet.dst_port);
-      if (it != tcp_listeners_.end()) it->second(packet);
+      if (const SynHandler* listener = tcp_listeners_.find(packet.dst_port)) {
+        (*listener)(packet);
+      }
       return;
     }
     case PacketKind::kTcpSynAck:
     case PacketKind::kTcpData:
     case PacketKind::kTcpAck: {
-      auto it = tcp_conns_.find(packet.flow_id);
-      if (it != tcp_conns_.end()) {
-        it->second->on_packet(packet);
+      if (TcpConnection* const* conn = tcp_conns_.find(packet.flow_id)) {
+        (*conn)->on_packet(packet);
       } else {
         DPROC_DEBUG() << "nic " << node_ << ": segment for unknown flow "
                       << packet.flow_id;
@@ -104,9 +97,9 @@ void Nic::on_delivery(const Packet& packet) {
 }
 
 void Nic::deliver_datagram(const Packet& packet) {
-  const std::pair<NodeId, Port> key{packet.src, packet.src_port};
-  FragmentState& state = fragment_state_[key];
-  DatagramFlowStats& flow = flow_stats_[key];
+  DatagramFlow& state =
+      datagram_flows_.try_emplace(flow_key(packet.src, packet.src_port)).first;
+  DatagramFlowStats& flow = state.stats;
 
   const auto index = static_cast<std::int64_t>(packet.ack);
   if (index != state.current_index) {
@@ -142,9 +135,8 @@ void Nic::deliver_datagram(const Packet& packet) {
   ++stats_.datagrams_received;
   flow.delay_us.add((fabric_.engine().now() - SimTime{packet.sent_at_ns}).us());
 
-  auto handler = datagram_handlers_.find(packet.dst_port);
-  if (handler != datagram_handlers_.end()) {
-    handler->second(packet.src, packet.src_port, packet.message);
+  if (const DatagramHandler* handler = datagram_handlers_.find(packet.dst_port)) {
+    (*handler)(packet.src, packet.src_port, packet.message);
   }
 }
 

@@ -7,14 +7,6 @@
 namespace dproc::net {
 
 namespace {
-std::uint64_t next_flow_id() {
-  static std::uint64_t counter = 1;
-  return counter++;
-}
-Port next_ephemeral_port() {
-  static Port counter = 32768;
-  return counter++;
-}
 constexpr int kMaxSynAttempts = 8;
 }  // namespace
 
@@ -37,9 +29,11 @@ TcpConnection::~TcpConnection() { close(); }
 TcpConnection::Ptr TcpConnection::connect(Nic& nic, NodeId remote,
                                           Port remote_port, TcpConfig config,
                                           std::function<void()> on_established) {
+  Fabric& fabric = nic.fabric();
   auto conn = Ptr{new TcpConnection{nic, remote, remote_port,
-                                    next_ephemeral_port(), next_flow_id(),
-                                    Role::kClient, config}};
+                                    fabric.next_ephemeral_port(),
+                                    fabric.next_flow_id(), Role::kClient,
+                                    config}};
   nic.register_tcp(conn->flow_id_, conn.get());
   conn->start_handshake(std::move(on_established));
   return conn;

@@ -11,7 +11,9 @@
 //  * interest filtering must strictly reduce fabric bytes.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -267,7 +269,81 @@ TEST(BatchPublish, InterestDeclarationIsWritableThroughProcfs) {
   // "all" clears the narrowing again.
   ASSERT_TRUE(cluster.procfs(1).write("/proc/dproc/interest", "all").is_ok());
   engine.run_until(at(6.0));
-  EXPECT_TRUE(cluster.dmon(0)->peer_interests().empty());
+  EXPECT_EQ(cluster.dmon(0)->peer_interest(cluster.nic(1).node()), nullptr);
+}
+
+TEST(BatchPublish, EqualInterestSetsShareOneFilteredFramePerPeriod) {
+  sim::Engine engine;
+  ClusterConfig config;
+  config.node_count = 4;
+  config.batch.enabled = true;
+  config.batch.interest = true;
+  Cluster cluster{engine, config};
+  cluster.start_dproc();
+  engine.run_until(at(2.0));
+  // Nodes 1 and 2 declare equal sets as separate objects; node 3 another.
+  ASSERT_TRUE(cluster.dmon(1)->declare_interest({"net", "cpu"}).is_ok());
+  ASSERT_TRUE(cluster.dmon(2)->declare_interest({"cpu", "net", "cpu"}).is_ok());
+  ASSERT_TRUE(cluster.dmon(3)->declare_interest({"mem"}).is_ok());
+  engine.run_until(at(4.0));
+
+  DMon& publisher = *cluster.dmon(0);
+  const net::NodeId n0 = cluster.nic(0).node();
+  const net::NodeId n1 = cluster.nic(1).node();
+  const net::NodeId n2 = cluster.nic(2).node();
+  const net::NodeId n3 = cluster.nic(3).node();
+  ASSERT_NE(publisher.peer_interest(n1), nullptr);
+  EXPECT_EQ(publisher.peer_interest(n1), publisher.peer_interest(n2))
+      << "equal sets are interned once";
+  EXPECT_NE(publisher.peer_interest(n1), publisher.peer_interest(n3));
+
+  // Node 0's monitoring frames as delivered, per (submit time, receiver).
+  std::map<std::pair<std::int64_t, net::NodeId>, const net::Message*> frames;
+  cluster.fabric().set_trace_hook([&](net::Fabric::TraceEvent event,
+                                      net::DropCause, const net::Packet& p,
+                                      SimTime) {
+    if (event != net::Fabric::TraceEvent::kDeliver || p.src != n0 ||
+        p.message == nullptr) {
+      return;
+    }
+    kecho::Event decoded;
+    if (!kecho::decode_event_frame(p.message, decoded) ||
+        decoded.channel != publisher.monitor_channel_id()) {
+      return;
+    }
+    frames[{decoded.submitted_at.ns(), p.dst}] = p.message.get();
+  });
+  auto frame_of = [&](std::int64_t period, net::NodeId member) {
+    auto it = frames.find({period, member});
+    return it == frames.end() ? nullptr : it->second;
+  };
+  auto periods = [&] {
+    std::set<std::int64_t> out;
+    for (const auto& [key, frame] : frames) out.insert(key.first);
+    return out;
+  };
+
+  engine.run_until(at(8.0));
+  ASSERT_FALSE(frames.empty());
+  for (std::int64_t period : periods()) {
+    ASSERT_NE(frame_of(period, n1), nullptr);
+    EXPECT_EQ(frame_of(period, n1), frame_of(period, n2))
+        << "one encoding per set per period";
+    EXPECT_NE(frame_of(period, n1), frame_of(period, n3));
+  }
+
+  // Node 1 re-declares node 3's set: it moves to node 3's frame.
+  ASSERT_TRUE(cluster.dmon(1)->declare_interest({"mem"}).is_ok());
+  engine.run_until(at(10.0));
+  EXPECT_EQ(publisher.peer_interest(n1), publisher.peer_interest(n3));
+  frames.clear();
+  engine.run_until(at(14.0));
+  ASSERT_FALSE(frames.empty());
+  for (std::int64_t period : periods()) {
+    ASSERT_NE(frame_of(period, n1), nullptr);
+    EXPECT_EQ(frame_of(period, n1), frame_of(period, n3));
+    EXPECT_NE(frame_of(period, n1), frame_of(period, n2));
+  }
 }
 
 TEST(BatchPublish, RestartedSubscriberReconvergesThroughKeyframes) {

@@ -74,7 +74,8 @@ TEST_F(DmonTest, StatusFileRendersState) {
 TEST(DmonProcfs, PathClashIsCountedInStatus) {
   // With the health engine on, /proc/cluster/health is a file, so a peer
   // named "health" cannot get its /proc/cluster/health/... tree. The clash
-  // must be reported, not silently dropped.
+  // must be reported, not silently dropped: the name is refused as a
+  // whole, one conflict for the declaration.
   sim::Engine engine;
   ClusterConfig config;
   config.node_count = 2;
@@ -88,18 +89,61 @@ TEST(DmonProcfs, PathClashIsCountedInStatus) {
 
   DMon& dmon = *cluster.dmon(0);
   dmon.add_peer(7, "health");
-  // Every metric file, plus the peer's status and control files.
-  const std::size_t expected = dmon.metric_table().size() + 2;
   status = cluster.procfs(0).read("/proc/dproc/status");
   ASSERT_TRUE(status.is_ok());
-  EXPECT_NE(status.value().find("procfs_conflicts " +
-                                std::to_string(expected) + "\n"),
-            std::string::npos)
+  EXPECT_NE(status.value().find("procfs_conflicts 1\n"), std::string::npos)
       << status.value();
   // The existing cluster health view is untouched.
   auto health = cluster.procfs(0).read("/proc/cluster/health");
   ASSERT_TRUE(health.is_ok());
   EXPECT_NE(health.value().find("local "), std::string::npos);
+}
+
+TEST(DmonProcfs, PeerCannotTakeOverTheClustersOwnFiles) {
+  // ProcFs::register_file replaces an existing file, so a peer named like
+  // one of the cluster's own /proc/cluster entries would silently turn the
+  // overlay's roll-up files into its own "no data" feed. The name is
+  // refused instead: no files, one counted conflict, and the peer's
+  // departure removes nothing.
+  sim::Engine engine;
+  ClusterConfig config;
+  config.node_count = 8;
+  config.hierarchy.enabled = true;
+  config.hierarchy.zone_size = 4;
+  config.hierarchy.fanout = 4;
+  config.hierarchy.subscribers = std::vector<std::size_t>{5};
+  Cluster cluster{engine, config};
+  cluster.start_dproc();
+  engine.run_until(SimTime::zero() + seconds(10.0));
+  const char* const rollup = "/proc/cluster/rollup/cpu/loadavg";
+  auto before = cluster.procfs(5).read(rollup);
+  ASSERT_TRUE(before.is_ok());
+  ASSERT_NE(before.value().find("count 8"), std::string::npos)
+      << before.value();
+
+  DMon& dmon = *cluster.dmon(5);
+  dmon.add_peer(99, "rollup");
+  auto after = cluster.procfs(5).read(rollup);
+  ASSERT_TRUE(after.is_ok());
+  EXPECT_NE(after.value().find("count 8"), std::string::npos) << after.value();
+  EXPECT_EQ(dmon.procfs_conflicts(), 1u);
+  // The refused peer is still tracked under its node id.
+  EXPECT_TRUE(dmon.peer_health(99).has_value());
+
+  // Re-declaring a zone mate under a reserved name keeps its own subtree;
+  // its graceful departure then purges that subtree, not the roll-up.
+  const net::NodeId mate = cluster.nic(6).node();
+  const std::string mate_dir = "/proc/cluster/" + cluster.host(6).name();
+  dmon.add_peer(mate, "rollup");
+  EXPECT_EQ(dmon.procfs_conflicts(), 2u);
+  EXPECT_TRUE(cluster.procfs(5).read(mate_dir + "/status").is_ok());
+  cluster.leave_node(6);
+  engine.run_until(SimTime::zero() + seconds(14.0));
+  EXPECT_FALSE(dmon.peer_health(mate).has_value()) << "departure not seen";
+  EXPECT_FALSE(cluster.procfs(5).read(mate_dir + "/status").is_ok());
+  auto late = cluster.procfs(5).read(rollup);
+  ASSERT_TRUE(late.is_ok());
+  EXPECT_NE(late.value().find("count "), std::string::npos) << late.value();
 }
 
 TEST_F(DmonTest, PollReportsSubmitAndReceiveCosts) {

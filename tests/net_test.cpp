@@ -2,6 +2,9 @@
 
 #include <algorithm>
 
+#include "dproc/core/cluster.hpp"
+#include "dproc/core/monitors.hpp"
+#include "dproc/host/host.hpp"
 #include "dproc/net/fabric.hpp"
 #include "dproc/net/nic.hpp"
 #include "dproc/net/tcp.hpp"
@@ -576,8 +579,8 @@ TEST_F(TcpTest, RttMeasuredOnLan) {
   client->send(make_message({}, 1000));
   engine.run();
   // Two hops each way, ~25 us propagation per hop plus serialization.
-  EXPECT_GT(client->srtt().us(), 50.0);
-  EXPECT_LT(client->srtt().us(), 2000.0);
+  EXPECT_GT(client->srtt_us(), 50.0);
+  EXPECT_LT(client->srtt_us(), 2000.0);
 }
 
 TEST_F(TcpTest, ThroughputApproachesLineRate) {
@@ -616,6 +619,174 @@ TEST_F(TcpTest, CloseStopsTraffic) {
   const std::uint64_t sent_before = nic_a->stats().bytes_sent;
   engine.run();
   EXPECT_EQ(nic_a->stats().bytes_sent, sent_before);
+}
+
+// --- connection table ----------------------------------------------------
+
+TEST_F(TcpTest, ServerConnectionsRegisteredOutOfFlowIdOrderStillDemux) {
+  // A server registers each connection under the flow id its SYN carries,
+  // in SYN arrival order. Hold the first client's SYN back so the server
+  // learns the higher flow id first.
+  sim::Engine eng;
+  Fabric fab{eng};
+  const NodeId s = fab.add_node("s");
+  const NodeId c1 = fab.add_node("c1");
+  const NodeId c2 = fab.add_node("c2");
+  const auto ports = fab.build_star({s, c1, c2}, LinkConfig{});
+  Nic ns{fab, s}, n1{fab, c1}, n2{fab, c2};
+
+  std::vector<std::pair<NodeId, std::uint64_t>> got;  // (client, bytes)
+  std::vector<std::uint64_t> accepted;                // flow ids, in order
+  TcpListener listener{ns, 80, TcpConfig{}, [&](TcpConnection::Ptr conn) {
+                         accepted.push_back(conn->flow_id());
+                         const NodeId from = conn->remote_node();
+                         conn->set_message_handler([&got, from](
+                                                       const MessagePtr& m) {
+                           got.emplace_back(from, m->size());
+                         });
+                       }};
+  fab.set_link_down(ports[1].first, true);  // c1's uplink eats its SYN
+  auto first = TcpConnection::connect(n1, s, 80);
+  auto second = TcpConnection::connect(n2, s, 80);
+  ASSERT_LT(first->flow_id(), second->flow_id());
+  eng.run_until(SimTime{} + milliseconds(5.0));
+  fab.set_link_down(ports[1].first, false);  // the SYN retry gets through
+  eng.run_until(SimTime{} + seconds(1.0));
+  ASSERT_EQ(accepted,
+            (std::vector<std::uint64_t>{second->flow_id(), first->flow_id()}));
+
+  first->send(make_message({}, 3000));
+  second->send(make_message({}, 5000));
+  eng.run_until(SimTime{} + seconds(2.0));
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, (std::vector<std::pair<NodeId, std::uint64_t>>{
+                     {c1, 3000}, {c2, 5000}}));
+  // The table walks in flow-id order whatever the registration order.
+  std::vector<std::uint64_t> walked;
+  ns.for_each_tcp_connection(
+      [&](const TcpConnection& conn) { walked.push_back(conn.flow_id()); });
+  EXPECT_EQ(walked,
+            (std::vector<std::uint64_t>{first->flow_id(), second->flow_id()}));
+}
+
+TEST_F(TcpTest, SegmentArrivingAfterCloseIsDropped) {
+  TcpConnection::Ptr server_side;
+  std::uint64_t delivered = 0;
+  TcpListener listener{*nic_b, 80, TcpConfig{}, [&](TcpConnection::Ptr conn) {
+                         server_side = conn;
+                         conn->set_message_handler(
+                             [&](const MessagePtr&) { ++delivered; });
+                       }};
+  auto client = TcpConnection::connect(*nic_a, b, 80);
+  engine.run_until(SimTime{} + milliseconds(5.0));
+  ASSERT_NE(server_side, nullptr);
+  client->send(make_message({}, 200'000));  // many segments in flight
+  engine.run_until(SimTime{} + milliseconds(6.0));
+  const std::uint64_t received_before = nic_b->stats().bytes_received;
+  server_side->close();
+  engine.run_until(SimTime{} + seconds(1.0));
+  EXPECT_GT(nic_b->stats().bytes_received, received_before)
+      << "segments kept arriving for the closed flow";
+  EXPECT_EQ(delivered, 0u);
+  EXPECT_EQ(server_side->stats().messages_delivered, 0u);
+  std::size_t live = 0;
+  nic_b->for_each_tcp_connection([&](const TcpConnection&) { ++live; });
+  EXPECT_EQ(live, 0u);
+}
+
+TEST(NetMonitorTest, RttAndRetransMatchAWalkOverConnectionStats) {
+  // A tiny switch buffer forces losses, so retransmissions are non-zero.
+  sim::Engine eng;
+  Fabric fab{eng};
+  const NodeId x = fab.add_node("x");
+  const NodeId y = fab.add_node("y");
+  LinkConfig small;
+  small.buffer_bytes = 8'000;
+  fab.build_star({x, y}, small);
+  Nic nx{fab, x}, ny{fab, y};
+  host::Host host{eng, 0, host::HostConfig{}, Rng{1}};
+  TcpListener listener{ny, 80, TcpConfig{}, [](TcpConnection::Ptr) {}};
+  std::vector<TcpConnection::Ptr> conns;  // created in flow-id order
+  for (int i = 0; i < 5; ++i) {
+    conns.push_back(TcpConnection::connect(nx, y, 80));
+    conns.back()->send(make_message({}, 100'000 * (i + 1)));
+  }
+  eng.run_until(SimTime{} + seconds(10.0));
+
+  core::NetMonitor monitor{host, nx};
+  const auto metrics = monitor.metrics();
+  const auto index_of = [&metrics](const std::string& key) {
+    for (std::size_t i = 0; i < metrics.size(); ++i) {
+      if (metrics[i].key == key) return i;
+    }
+    return metrics.size();
+  };
+  const std::size_t rtt = index_of("rtt");
+  const std::size_t retrans = index_of("retrans");
+  ASSERT_LT(rtt, metrics.size());
+  ASSERT_LT(retrans, metrics.size());
+
+  auto check = [&](const std::vector<TcpConnection::Ptr>& open) {
+    double rtt_sum = 0.0;
+    std::size_t with_rtt = 0;
+    std::uint64_t retrans_sum = 0;
+    for (const TcpConnection::Ptr& conn : open) {
+      const TcpStats s = conn->stats();
+      if (s.srtt_us > 0) {
+        rtt_sum += s.srtt_us;
+        ++with_rtt;
+      }
+      retrans_sum += s.retransmissions;
+    }
+    std::vector<core::MetricSample> out;
+    monitor.collect(out, eng.now());
+    ASSERT_EQ(out.size(), metrics.size());
+    ASSERT_GT(with_rtt, 0u);
+    EXPECT_EQ(out[rtt].value, rtt_sum / static_cast<double>(with_rtt));
+    EXPECT_EQ(out[retrans].value, static_cast<double>(retrans_sum));
+  };
+  check(conns);
+  std::uint64_t total_retrans = 0;
+  for (const auto& conn : conns) total_retrans += conn->retransmissions();
+  EXPECT_GT(total_retrans, 0u);
+
+  conns[1]->close();
+  conns[3]->close();
+  check({conns[0], conns[2], conns[4]});
+}
+
+TEST(FabricIds, FlowIdsAndPortsArePerFabric) {
+  sim::Engine engine;
+  Fabric first{engine};
+  Fabric second{engine};
+  EXPECT_EQ(first.next_flow_id(), 1u);
+  EXPECT_EQ(first.next_flow_id(), 2u);
+  EXPECT_EQ(second.next_flow_id(), 1u);
+  EXPECT_EQ(second.next_ephemeral_port(), Fabric::kFirstEphemeralPort);
+  // The port counter cycles through the ephemeral range only: it never
+  // reaches port 0 or a well-known port such as KECho's 7788.
+  Port last = 0;
+  for (int i = 1; i < 32768; ++i) last = second.next_ephemeral_port();
+  EXPECT_EQ(last, Fabric::kLastEphemeralPort);
+  EXPECT_EQ(second.next_ephemeral_port(), Fabric::kFirstEphemeralPort);
+  EXPECT_EQ(first.next_ephemeral_port(), Fabric::kFirstEphemeralPort);
+}
+
+TEST(FabricIds, ClustersBuiltInSequenceReadTheSameConnectionTable) {
+  auto connections = [] {
+    sim::Engine engine;
+    core::ClusterConfig config;
+    config.node_count = 3;
+    core::Cluster cluster{engine, config};
+    cluster.start_dproc();
+    engine.run_until(SimTime{} + seconds(3.0));
+    auto text = cluster.procfs(0).read("/proc/net/connections");
+    return text.is_ok() ? text.value() : text.status().to_string();
+  };
+  const std::string first = connections();
+  EXPECT_NE(first.find("srtt_us"), std::string::npos) << first;
+  EXPECT_GT(std::count(first.begin(), first.end(), '\n'), 2) << first;
+  EXPECT_EQ(connections(), first);
 }
 
 }  // namespace

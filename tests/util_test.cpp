@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "dproc/util/flat_map.hpp"
 #include "dproc/util/rng.hpp"
 #include "dproc/util/stats.hpp"
 #include "dproc/util/status.hpp"
@@ -44,6 +47,33 @@ TEST(Time, ToStringPicksUnits) {
 }
 
 // --- rng --------------------------------------------------------------
+
+TEST(FlatMap, KeepsKeyOrderWhateverTheInsertOrder) {
+  FlatMap<std::uint32_t, std::string> map;
+  for (std::uint32_t key : {7u, 2u, 9u, 4u}) {
+    auto [value, inserted] = map.try_emplace(key);
+    EXPECT_TRUE(inserted);
+    value = std::to_string(key);
+  }
+  auto [again, inserted] = map.try_emplace(4);
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(again, "4");
+  std::vector<std::uint32_t> keys;
+  for (const auto [key, value] : map) {
+    EXPECT_EQ(value, std::to_string(key));
+    keys.push_back(key);
+  }
+  EXPECT_EQ(keys, (std::vector<std::uint32_t>{2, 4, 7, 9}));
+
+  EXPECT_TRUE(map.erase(7));
+  EXPECT_FALSE(map.erase(7));
+  EXPECT_EQ(map.find(7), nullptr);
+  ASSERT_NE(map.find(9), nullptr);
+  EXPECT_EQ(*map.find(9), "9");
+  EXPECT_EQ(map.size(), 3u);
+  map.clear();
+  EXPECT_TRUE(map.empty());
+}
 
 TEST(Rng, DeterministicForSeed) {
   Rng a{42}, b{42};
