@@ -1,5 +1,7 @@
 #include "alloc_counter.hpp"
 
+#include <malloc.h>
+
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -7,6 +9,24 @@
 namespace {
 
 std::atomic<std::uint64_t> g_allocs{0};
+std::atomic<std::int64_t> g_live_bytes{0};
+
+void* counted_malloc(std::size_t size) {
+  void* p = std::malloc(size ? size : 1);
+  if (p != nullptr) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+    g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                           std::memory_order_relaxed);
+  }
+  return p;
+}
+
+void counted_free(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
 
 }  // namespace
 
@@ -16,30 +36,34 @@ std::uint64_t alloc_count() {
   return g_allocs.load(std::memory_order_relaxed);
 }
 
+std::int64_t alloc_live_bytes() {
+  return g_live_bytes.load(std::memory_order_relaxed);
+}
+
 }  // namespace dproc::bench
 
 void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
+  if (void* p = counted_malloc(size)) return p;
   throw std::bad_alloc{};
 }
 
 void* operator new[](std::size_t size) { return ::operator new(size); }
 
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size ? size : 1);
+  return counted_malloc(size);
 }
 
 void* operator new[](std::size_t size, const std::nothrow_t& tag) noexcept {
   return ::operator new(size, tag);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  counted_free(p);
+}
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }

@@ -24,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dproc/core/adapt.hpp"
@@ -212,13 +213,20 @@ class DMon {
   /// cluster-convention metric ids and creates the local pseudo-files.
   void register_module(std::unique_ptr<MonitoringModule> module);
 
-  /// Declares a peer node: creates /proc/cluster/<name>/... including the
-  /// control file through which applications retune that node. A name
-  /// that is one of the cluster's own /proc/cluster entries (health,
-  /// summary, rollup, zones) is refused: the peer's feed is still tracked,
-  /// but it gets no files, counts one procfs conflict, and its departure
-  /// removes nothing. A re-declaration of a known peer under such a name
-  /// keeps its old name and files.
+  /// The shared procfs subtree (metric files, `status`, `control`) every
+  /// declared peer's /proc/cluster/<name> directory is bound to, with the
+  /// peer's node id as the binding's context.
+  static constexpr std::string_view kPeerTree = "peer";
+
+  /// Declares a peer node: binds /proc/cluster/<name> to the shared peer
+  /// subtree, including the control file through which applications
+  /// retune that node. Re-declaring a peer under a new name moves the
+  /// binding; its departure removes it. A name that is one of the
+  /// cluster's own /proc/cluster entries (health, summary, rollup, zones)
+  /// is refused: the peer's feed is still tracked, but it gets no files,
+  /// counts one procfs conflict, and its departure removes nothing. A
+  /// re-declaration of a known peer under such a name keeps its old name
+  /// and files.
   void add_peer(net::NodeId node, const std::string& name);
 
   /// Joins the channels and starts the periodic polling loop.
@@ -454,8 +462,9 @@ class DMon {
   /// handlers.
   void join_flat_channels(bool monitor, bool control);
   /// Looks up (or lazily declares, from the fabric name table) the origin
-  /// of a raw feed and marks it heard from now.
-  Peer& refresh_peer(net::NodeId origin);
+  /// of a raw feed and marks it heard from now; nullptr for an undeclared
+  /// origin that has departed and not rejoined, whose feed is dropped.
+  Peer* refresh_peer(net::NodeId origin);
   /// Raw-batch intake: decodes a MonitorBatch body from `r` and applies it
   /// to the sender's peer entry (render hop, watchdog, intake charge).
   /// The decoded batch, or nullptr when the body is malformed.
@@ -476,9 +485,18 @@ class DMon {
   void on_membership(kecho::MemberEventKind kind, net::NodeId node);
   [[nodiscard]] PeerState state_of(const Peer& peer) const;
   void register_local_files(const ModuleEntry& entry);
-  /// Creates /proc/cluster/<name>/<metric> for metric ids from `first` on.
-  void register_peer_metric_files(net::NodeId node, const std::string& name,
-                                  MetricId first);
+  /// Registers a file of the shared peer subtree, counting a path clash.
+  void register_peer_file(const std::string& path,
+                          procfs::ProcFs::SharedReadHandler read,
+                          procfs::ProcFs::SharedWriteHandler write = {});
+  /// Adds the peer subtree's files for metric ids from `first` on.
+  void register_peer_metric_files(MetricId first);
+  /// Builds the peer subtree at the first binding: the metric files known
+  /// so far, then `status` and `control`.
+  void build_peer_tree();
+  /// `node` gives up /proc/cluster/<name>: the binding passes to another
+  /// peer declared under the same name, or is removed.
+  void release_name(net::NodeId node, const std::string& name);
   void rebuild_tuning();
   void charge(double cycles);
   /// Bills one delivered event's procfs update, counted into this poll's
@@ -510,6 +528,10 @@ class DMon {
   /// Declared peers in ascending node order: the order every peer walk
   /// (liveness census, procfs views) visits them in.
   FlatMap<net::NodeId, Peer> peers_;
+  /// Whether the shared peer subtree has been built (first add_peer).
+  bool peer_tree_built_ = false;
+  /// Nodes whose departure was confirmed and that have not rejoined.
+  std::vector<net::NodeId> departed_;
 
   /// Bridge from the first TopKMonitor's sketch to the filter VM
   /// (DmonConfig::sketch; additional TopKMonitors register as auxiliaries).

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <iomanip>
+#include <cstdio>
 #include <sstream>
 
 #include "dproc/net/fabric.hpp"
@@ -19,9 +19,9 @@ namespace {
 // the payload itself.
 constexpr std::size_t kKechoHeaderBytes = 4 + 4 + 8 + 4;
 
-// The cluster's own entries under /proc/cluster. ProcFs::register_file
-// replaces an existing file, so a peer by one of these names would take
-// over the cluster's files instead of clashing with them.
+// The cluster's own entries under /proc/cluster. A peer bound under one of
+// these names before the cluster's files exist would shut them out (nothing
+// is registered below a binding), so the names are refused outright.
 bool reserved_peer_name(const std::string& name) {
   return name == "health" || name == "summary" || name == "rollup" ||
          name == "zones";
@@ -52,20 +52,31 @@ net::MessagePtr encode_control_event(net::NodeId target,
   return message;
 }
 
+// Pseudo-file bodies are formatted into a stack buffer and copied out once,
+// so a read allocates only the string it returns. "%.12g" and "%g" are what
+// an ostream prints at setprecision(12) and at its default precision.
+template <typename... Args>
+std::string format_text(const char* format, Args... args) {
+  char buffer[256];
+  const int n = std::snprintf(buffer, sizeof buffer, format, args...);
+  return std::string(buffer, static_cast<std::size_t>(
+                                 std::clamp(n, 0, int{sizeof buffer} - 1)));
+}
+
 std::string render_value(const RemoteMetric& metric, SimTime now,
                          PeerState state) {
   if (!metric.valid) return "no data\n";
-  std::ostringstream out;
   // age_s is measured from the publisher's sample time, so staleness readers
   // see the full data age (queueing + network latency included); recv_age_s
-  // isolates how long ago the value arrived here.
-  out << std::setprecision(12) << metric.value << "\n"
-      << "sampled_at_s " << metric.sampled_at.sec() << "\n"
-      << "age_s " << (now - metric.sampled_at).sec() << "\n"
-      << "recv_age_s " << (now - metric.received_at).sec() << "\n";
-  // Degradation marker only when degraded: healthy output is unchanged.
-  if (state != PeerState::kLive) out << "state " << to_string(state) << "\n";
-  return out.str();
+  // isolates how long ago the value arrived here. The degradation marker
+  // appears only when degraded: healthy output is unchanged.
+  return format_text(
+      "%.12g\nsampled_at_s %.12g\nage_s %.12g\nrecv_age_s %.12g\n%s%s%s",
+      metric.value, metric.sampled_at.sec(), (now - metric.sampled_at).sec(),
+      (now - metric.received_at).sec(),
+      state != PeerState::kLive ? "state " : "",
+      state != PeerState::kLive ? to_string(state) : "",
+      state != PeerState::kLive ? "\n" : "");
 }
 
 }  // namespace
@@ -367,30 +378,63 @@ void DMon::register_module(std::unique_ptr<MonitoringModule> module) {
   last_published_.resize(metric_table_.size());
   rebuild_tuning();
 
-  // Peers declared before this module gained metrics: create their files.
-  for (auto [node, peer] : peers_) {
-    peer.metrics.resize(metric_table_.size());
-    if (reserved_peer_name(peer.name)) continue;
-    register_peer_metric_files(node, peer.name, added.first_id);
+  for (auto [node, peer] : peers_) peer.metrics.resize(metric_table_.size());
+  // Peers declared before this module see its files through their bindings.
+  if (peer_tree_built_) register_peer_metric_files(added.first_id);
+}
+
+void DMon::register_peer_file(const std::string& path,
+                              procfs::ProcFs::SharedReadHandler read,
+                              procfs::ProcFs::SharedWriteHandler write) {
+  Status status = procfs_.register_shared_file(kPeerTree, path,
+                                               std::move(read), std::move(write));
+  if (!status) note_procfs_conflict("/proc/cluster/<peer>/" + path, status);
+}
+
+void DMon::register_peer_metric_files(MetricId first) {
+  for (std::size_t i = first; i < metric_table_.size(); ++i) {
+    const MetricId id = metric_table_[i].id;
+    register_peer_file(metric_table_[i].path, [this, id](net::NodeId node) {
+      const Peer* peer = peers_.find(node);
+      if (peer == nullptr || id >= peer->metrics.size()) {
+        return std::string{"no data\n"};
+      }
+      return render_value(peer->metrics[id], host_.engine().now(),
+                          state_of(*peer));
+    });
   }
 }
 
-void DMon::register_peer_metric_files(net::NodeId node,
-                                      const std::string& name,
-                                      MetricId first) {
-  for (std::size_t i = first; i < metric_table_.size(); ++i) {
-    const MetricDesc& desc = metric_table_[i];
-    const MetricId id = desc.id;
-    register_file(
-        "/proc/cluster/" + name + "/" + desc.path, [this, node, id] {
-          const Peer* peer = peers_.find(node);
-          if (peer == nullptr || id >= peer->metrics.size()) {
-            return std::string{"no data\n"};
-          }
-          return render_value(peer->metrics[id], host_.engine().now(),
-                              state_of(*peer));
-        });
-  }
+void DMon::build_peer_tree() {
+  peer_tree_built_ = true;
+  register_peer_metric_files(0);
+  register_peer_file("status", [this](net::NodeId node) {
+    const Peer* peer = peers_.find(node);
+    if (peer == nullptr) return std::string{"state dead\n"};
+    return format_text("state %s\nhas_data %d\nlast_update_s %g\nage_s %g\n",
+                       to_string(state_of(*peer)), peer->has_data ? 1 : 0,
+                       peer->last_update.sec(),
+                       (host_.engine().now() - peer->last_update).sec());
+  });
+  register_peer_file(
+      "control",
+      [this](net::NodeId node) {
+        const Peer* peer = peers_.find(node);
+        if (peer == nullptr) return std::string{"no data\n"};
+        constexpr std::string_view kHead =
+            "# write control commands for node ";
+        constexpr std::string_view kTail =
+            ": period/threshold/differential/fuel/filter/clear\n";
+        std::string text;
+        text.reserve(kHead.size() + peer->name.size() + kTail.size());
+        text.append(kHead).append(peer->name).append(kTail);
+        return text;
+      },
+      [this](net::NodeId node, const std::string& text) {
+        auto config = parse_control_commands(text);
+        if (!config) return config.status();
+        return send_tuning(node, config.value());
+      });
 }
 
 void DMon::register_local_files(const ModuleEntry& entry) {
@@ -399,9 +443,7 @@ void DMon::register_local_files(const ModuleEntry& entry) {
     const MetricId id = desc.id;
     register_file("/proc/" + desc.path, [this, id] {
       if (id >= last_collected_.size()) return std::string{"no data\n"};
-      std::ostringstream out;
-      out << std::setprecision(12) << last_collected_[id].value << "\n";
-      return out.str();
+      return format_text("%.12g\n", last_collected_[id].value);
     });
   }
 }
@@ -417,30 +459,26 @@ void DMon::add_peer(net::NodeId node, const std::string& name) {
         Status::already_exists("reserved for the cluster's own files"));
     return;
   }
+  // A rename moves the peer's directory off its old name.
+  if (!created && peer.name != name) release_name(node, peer.name);
   peer.name = name;
-  register_peer_metric_files(node, name, 0);
-  register_file("/proc/cluster/" + name + "/status", [this, node] {
-    const Peer* found = peers_.find(node);
-    if (found == nullptr) return std::string{"state dead\n"};
-    const Peer& p = *found;
-    std::ostringstream out;
-    out << "state " << to_string(state_of(p)) << "\n"
-        << "has_data " << (p.has_data ? 1 : 0) << "\n"
-        << "last_update_s " << p.last_update.sec() << "\n"
-        << "age_s " << (host_.engine().now() - p.last_update).sec() << "\n";
-    return out.str();
-  });
-  register_file(
-      "/proc/cluster/" + name + "/control",
-      [name] {
-        return "# write control commands for node " + name +
-               ": period/threshold/differential/fuel/filter/clear\n";
-      },
-      [this, node](const std::string& text) {
-        auto config = parse_control_commands(text);
-        if (!config) return config.status();
-        return send_tuning(node, config.value());
-      });
+  if (!peer_tree_built_) build_peer_tree();
+  const std::string path = "/proc/cluster/" + name;
+  if (Status status = procfs_.bind(path, kPeerTree, node); !status) {
+    note_procfs_conflict(path, status);
+  }
+}
+
+void DMon::release_name(net::NodeId node, const std::string& name) {
+  if (reserved_peer_name(name)) return;  // never bound
+  const std::string path = "/proc/cluster/" + name;
+  for (const auto [other, peer] : peers_) {
+    if (other != node && peer.name == name) {
+      (void)procfs_.bind(path, kPeerTree, other);
+      return;
+    }
+  }
+  (void)procfs_.remove(path);
 }
 
 void DMon::start() {
@@ -632,6 +670,10 @@ void DMon::on_membership(kecho::MemberEventKind kind, net::NodeId node) {
     // few extra bytes to a dead node).
     set_peer_interest(node, {});
   }
+  // A departed node is not learned again from the feed it left queued
+  // here, only once it rejoins.
+  if (kind != kecho::MemberEventKind::kEvicted) std::erase(departed_, node);
+  if (kind == kecho::MemberEventKind::kLeft) departed_.push_back(node);
   Peer* peer = peers_.find(node);
   if (peer == nullptr) return;
   switch (kind) {
@@ -644,11 +686,8 @@ void DMon::on_membership(kecho::MemberEventKind kind, net::NodeId node) {
       peer->dead = true;
       break;
     case kecho::MemberEventKind::kLeft:
-      // Confirmed departure: purge the procfs subtree (a peer refused its
-      // reserved name has none) and forget the peer.
-      if (!reserved_peer_name(peer->name)) {
-        (void)procfs_.remove("/proc/cluster/" + peer->name);
-      }
+      // Confirmed departure: drop the procfs binding and forget the peer.
+      release_name(node, peer->name);
       peers_.erase(node);
       break;
   }
@@ -810,19 +849,21 @@ void DMon::note_render(const kecho::Event& event,
                 << " us > " << budget.us() << " us)";
 }
 
-DMon::Peer& DMon::refresh_peer(net::NodeId origin) {
-  Peer* found = peers_.find(origin);
-  if (found == nullptr) {
+DMon::Peer* DMon::refresh_peer(net::NodeId origin) {
+  Peer* peer = peers_.find(origin);
+  if (peer == nullptr) {
+    if (std::ranges::find(departed_, origin) != departed_.end()) {
+      return nullptr;
+    }
     // Peer never declared: learn it from the fabric's name table.
     add_peer(origin, nic_.fabric().node_name(origin));
-    found = peers_.find(origin);
+    peer = peers_.find(origin);
   }
   // Any update is a sign of life: refresh the staleness clock and clear a
   // possibly spurious eviction.
-  Peer& peer = *found;
-  peer.last_update = host_.engine().now();
-  peer.has_data = true;
-  peer.dead = false;
+  peer->last_update = host_.engine().now();
+  peer->has_data = true;
+  peer->dead = false;
   return peer;
 }
 
@@ -833,15 +874,16 @@ const net::MonitorBatch* DMon::take_raw_batch(const kecho::Event& event,
                  << event.source;
     return nullptr;
   }
-  Peer& peer = refresh_peer(event.source);
+  Peer* peer = refresh_peer(event.source);
+  if (peer == nullptr) return nullptr;
   const SimTime now = host_.engine().now();
   for (const net::MonitorBatch::Entry& e : rx_batch_.entries) {
-    if (e.id < peer.metrics.size()) {
-      peer.metrics[e.id] = RemoteMetric{e.value, SimTime{e.sampled_ns}, now,
-                                        true, event.trace.trace_id};
+    if (e.id < peer->metrics.size()) {
+      peer->metrics[e.id] = RemoteMetric{e.value, SimTime{e.sampled_ns}, now,
+                                         true, event.trace.trace_id};
     }
   }
-  note_render(event, config_.monitor_channel, &peer);
+  note_render(event, config_.monitor_channel, peer);
   charge_intake();
   return &rx_batch_;
 }
@@ -854,18 +896,19 @@ void DMon::on_monitor_event(const kecho::Event& event) {
     return;
   }
   if (op != kOpMonitor) return;
-  Peer& peer = refresh_peer(event.source);
+  Peer* peer = refresh_peer(event.source);
+  if (peer == nullptr) return;
   const std::uint32_t count = r.u32();
   for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
     const MetricId id = r.u32();
     const double value = r.f64();
     const SimTime sampled{r.i64()};
-    if (id < peer.metrics.size()) {
-      peer.metrics[id] = RemoteMetric{value, sampled, host_.engine().now(),
-                                      true, event.trace.trace_id};
+    if (id < peer->metrics.size()) {
+      peer->metrics[id] = RemoteMetric{value, sampled, host_.engine().now(),
+                                       true, event.trace.trace_id};
     }
   }
-  note_render(event, config_.monitor_channel, &peer);
+  note_render(event, config_.monitor_channel, peer);
   charge_intake();
 }
 

@@ -1,87 +1,188 @@
 #include "dproc/procfs/procfs.hpp"
 
-#include <sstream>
+#include <algorithm>
 
 namespace dproc::procfs {
 
-ProcFs::ProcFs() : root_(std::make_unique<Node>()) {}
+namespace {
 
-Result<std::vector<std::string>> ProcFs::split_path(const std::string& path) {
-  if (path.empty() || path.front() != '/') {
-    return Status::invalid_argument("path must be absolute: '" + path + "'");
+/// Yields the non-empty '/'-separated components of a path, in place.
+class PathWalker {
+ public:
+  explicit PathWalker(std::string_view path) : rest_(path) {}
+
+  bool next(std::string_view& component) {
+    while (!rest_.empty() && rest_.front() == '/') rest_.remove_prefix(1);
+    if (rest_.empty()) return false;
+    const std::size_t end = std::min(rest_.find('/'), rest_.size());
+    component = rest_.substr(0, end);
+    rest_.remove_prefix(end);
+    return true;
   }
-  std::vector<std::string> components;
-  std::string current;
-  for (std::size_t i = 1; i <= path.size(); ++i) {
-    if (i == path.size() || path[i] == '/') {
-      if (!current.empty()) {
-        if (current == "." || current == "..") {
-          return Status::invalid_argument("'.' and '..' are not supported");
-        }
-        components.push_back(std::move(current));
-        current.clear();
-      }
-    } else {
-      current += path[i];
+
+ private:
+  std::string_view rest_;
+};
+
+bool is_dot(std::string_view component) {
+  return component == "." || component == "..";
+}
+
+std::string quoted(std::string_view path) {
+  std::string out;
+  out.reserve(path.size() + 2);
+  out += '\'';
+  out += path;
+  out += '\'';
+  return out;
+}
+
+/// The components of `path`, which need not be absolute.
+Result<std::vector<std::string_view>> split_relative(std::string_view path) {
+  std::vector<std::string_view> components;
+  PathWalker walker{path};
+  std::string_view component;
+  while (walker.next(component)) {
+    if (is_dot(component)) {
+      return Status::invalid_argument("'.' and '..' are not supported");
     }
+    components.push_back(component);
   }
   return components;
 }
 
-const ProcFs::Node* ProcFs::find(const std::string& path) const {
-  auto components = split_path(path);
-  if (!components) return nullptr;
-  const Node* node = root_.get();
-  for (const std::string& component : components.value()) {
-    auto it = node->children.find(component);
-    if (it == node->children.end()) return nullptr;
-    node = it->second.get();
+Result<std::vector<std::string_view>> split_path(std::string_view path) {
+  if (path.empty() || path.front() != '/') {
+    return Status::invalid_argument("path must be absolute: " + quoted(path));
   }
-  return node;
+  return split_relative(path);
 }
 
-ProcFs::Node* ProcFs::ensure_directories(
-    const std::vector<std::string>& components, std::size_t count,
-    Status& status) {
-  Node* node = root_.get();
+}  // namespace
+
+ProcFs::ProcFs() : root_(std::make_unique<Node>()) {}
+
+ProcFs::Found ProcFs::find(std::string_view path) const {
+  if (path.empty() || path.front() != '/') return {};
+  Found found{root_.get(), 0};
+  PathWalker walker{path};
+  std::string_view component;
+  while (walker.next(component)) {
+    if (is_dot(component)) return {};
+    const Children& entries = found.node->entries();
+    auto it = entries.find(component);
+    if (it == entries.end()) return {};
+    found.node = it->second.get();
+    if (found.node->bound != nullptr) found.context = found.node->context;
+  }
+  return found;
+}
+
+ProcFs::Node* ProcFs::ensure_directories(Node& root,
+                                         const Components& components,
+                                         std::size_t count, Status& status) {
+  Node* node = &root;
   for (std::size_t i = 0; i < count; ++i) {
     if (!node->directory) {
-      status = Status::invalid_argument("'" + components[i - 1] +
-                                        "' is a file, not a directory");
+      status = Status::invalid_argument(quoted(components[i - 1]) +
+                                        " is a file, not a directory");
       return nullptr;
     }
-    auto [it, created] = node->children.try_emplace(components[i]);
-    if (created) it->second = std::make_unique<Node>();
-    node = it->second.get();
+    if (node->bound != nullptr) {
+      status = Status::invalid_argument(quoted(components[i - 1]) +
+                                        " is bound to a shared subtree");
+      return nullptr;
+    }
+    node = &child(*node, components[i]);
   }
   if (!node->directory) {
     status = Status::invalid_argument("path component is a file");
     return nullptr;
   }
+  if (node->bound != nullptr) {
+    status = Status::invalid_argument(
+        "path component is bound to a shared subtree");
+    return nullptr;
+  }
   return node;
+}
+
+Status ProcFs::add_file(Node& root, const Components& components,
+                        std::string_view path, SharedReadHandler read,
+                        SharedWriteHandler write) {
+  if (components.empty()) {
+    return Status::invalid_argument("cannot register the root as a file");
+  }
+  Status status;
+  Node* dir =
+      ensure_directories(root, components, components.size() - 1, status);
+  if (dir == nullptr) return status;
+
+  const bool existed = dir->children.contains(components.back());
+  Node& file = child(*dir, components.back());
+  if (existed && file.directory) {
+    return Status::already_exists(quoted(path) + " exists as a directory");
+  }
+  file.directory = false;
+  file.read = std::move(read);
+  file.write = std::move(write);
+  return Status::ok();
 }
 
 Status ProcFs::register_file(const std::string& path, ReadHandler read,
                              WriteHandler write) {
   auto components = split_path(path);
   if (!components) return components.status();
-  const auto& parts = components.value();
-  if (parts.empty()) {
-    return Status::invalid_argument("cannot register the root as a file");
+  SharedReadHandler shared_read;
+  if (read) {
+    shared_read = [read = std::move(read)](Context) { return read(); };
   }
-  Status status;
-  Node* dir = ensure_directories(parts, parts.size() - 1, status);
-  if (dir == nullptr) return status;
+  SharedWriteHandler shared_write;
+  if (write) {
+    shared_write = [write = std::move(write)](Context,
+                                              const std::string& data) {
+      return write(data);
+    };
+  }
+  return add_file(*root_, components.value(), path, std::move(shared_read),
+                  std::move(shared_write));
+}
 
-  auto [it, created] = dir->children.try_emplace(parts.back());
-  if (!created && it->second->directory) {
-    return Status::already_exists("'" + path + "' exists as a directory");
+ProcFs::Node& ProcFs::child(Node& dir, std::string_view name) {
+  auto it = dir.children.find(name);
+  if (it == dir.children.end()) {
+    it = dir.children.emplace(std::string{name}, std::make_unique<Node>())
+             .first;
   }
-  if (created) it->second = std::make_unique<Node>();
-  Node& file = *it->second;
-  file.directory = false;
-  file.read = std::move(read);
-  file.write = std::move(write);
+  return *it->second;
+}
+
+Status ProcFs::register_shared_file(std::string_view tree,
+                                    std::string_view path,
+                                    SharedReadHandler read,
+                                    SharedWriteHandler write) {
+  auto components = split_relative(path);
+  if (!components) return components.status();
+  return add_file(child(shared_, tree), components.value(), path,
+                  std::move(read), std::move(write));
+}
+
+Status ProcFs::bind(const std::string& path, std::string_view tree,
+                    Context context) {
+  auto components = split_path(path);
+  if (!components) return components.status();
+  const auto& parts = components.value();
+  if (parts.empty()) return Status::invalid_argument("cannot bind the root");
+  Status status;
+  Node* dir = ensure_directories(*root_, parts, parts.size() - 1, status);
+  if (dir == nullptr) return status;
+  const bool existed = dir->children.contains(parts.back());
+  Node& binding = child(*dir, parts.back());
+  if (existed && binding.bound == nullptr) {
+    return Status::already_exists(quoted(path) + " exists and is not bound");
+  }
+  binding.bound = &child(shared_, tree);
+  binding.context = context;
   return Status::ok();
 }
 
@@ -89,7 +190,7 @@ Status ProcFs::mkdir(const std::string& path) {
   auto components = split_path(path);
   if (!components) return components.status();
   Status status;
-  if (ensure_directories(components.value(), components.value().size(),
+  if (ensure_directories(*root_, components.value(), components.value().size(),
                          status) == nullptr) {
     return status;
   }
@@ -105,62 +206,76 @@ Status ProcFs::remove(const std::string& path) {
   for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
     auto it = node->children.find(parts[i]);
     if (it == node->children.end()) {
-      return Status::not_found("'" + path + "' does not exist");
+      return Status::not_found(quoted(path) + " does not exist");
     }
     node = it->second.get();
+    if (node->bound != nullptr) {
+      return Status::failed_precondition(quoted(path) +
+                                         " lies in a shared subtree");
+    }
   }
-  if (node->children.erase(parts.back()) == 0) {
-    return Status::not_found("'" + path + "' does not exist");
+  auto it = node->children.find(parts.back());
+  if (it == node->children.end()) {
+    return Status::not_found(quoted(path) + " does not exist");
   }
+  node->children.erase(it);
   return Status::ok();
 }
 
 Result<std::string> ProcFs::read(const std::string& path) const {
-  const Node* node = find(path);
-  if (node == nullptr) return Status::not_found("'" + path + "' does not exist");
-  if (node->directory) {
-    return Status::invalid_argument("'" + path + "' is a directory");
+  const Found found = find(path);
+  if (found.node == nullptr) {
+    return Status::not_found(quoted(path) + " does not exist");
   }
-  if (!node->read) return std::string{};
-  return node->read();
+  if (found.node->directory) {
+    return Status::invalid_argument(quoted(path) + " is a directory");
+  }
+  if (!found.node->read) return std::string{};
+  return found.node->read(found.context);
 }
 
 Status ProcFs::write(const std::string& path, const std::string& data) {
-  const Node* node = find(path);
-  if (node == nullptr) return Status::not_found("'" + path + "' does not exist");
-  if (node->directory) {
-    return Status::invalid_argument("'" + path + "' is a directory");
+  const Found found = find(path);
+  if (found.node == nullptr) {
+    return Status::not_found(quoted(path) + " does not exist");
   }
-  if (!node->write) {
-    return Status{StatusCode::kPermissionDenied, "'" + path + "' is read-only"};
+  if (found.node->directory) {
+    return Status::invalid_argument(quoted(path) + " is a directory");
   }
-  return node->write(data);
+  if (!found.node->write) {
+    return Status{StatusCode::kPermissionDenied,
+                  quoted(path) + " is read-only"};
+  }
+  return found.node->write(found.context, data);
 }
 
 Result<std::vector<std::string>> ProcFs::list(const std::string& path) const {
-  const Node* node = find(path);
-  if (node == nullptr) return Status::not_found("'" + path + "' does not exist");
+  const Node* node = find(path).node;
+  if (node == nullptr) {
+    return Status::not_found(quoted(path) + " does not exist");
+  }
   if (!node->directory) {
-    return Status::invalid_argument("'" + path + "' is not a directory");
+    return Status::invalid_argument(quoted(path) + " is not a directory");
   }
-  std::vector<std::string> entries;
-  entries.reserve(node->children.size());
-  for (const auto& [name, child] : node->children) {
-    entries.push_back(child->directory ? name + "/" : name);
+  const Children& entries = node->entries();
+  std::vector<std::string> names;
+  names.reserve(entries.size());
+  for (const auto& [name, child] : entries) {
+    names.push_back(child->directory ? name + "/" : name);
   }
-  return entries;
+  return names;
 }
 
 bool ProcFs::exists(const std::string& path) const {
-  return find(path) != nullptr;
+  return find(path).node != nullptr;
 }
 
 bool ProcFs::is_directory(const std::string& path) const {
-  const Node* node = find(path);
+  const Node* node = find(path).node;
   return node != nullptr && node->directory;
 }
 
-void ProcFs::render(const Node& node, const std::string& name, int depth,
+void ProcFs::render(const Node& node, std::string_view name, int depth,
                     std::string& out) {
   if (depth >= 0) {
     out.append(static_cast<std::size_t>(depth) * 2, ' ');
@@ -168,7 +283,7 @@ void ProcFs::render(const Node& node, const std::string& name, int depth,
     if (node.directory) out += '/';
     out += '\n';
   }
-  for (const auto& [child_name, child] : node.children) {
+  for (const auto& [child_name, child] : node.entries()) {
     render(*child, child_name, depth + 1, out);
   }
 }

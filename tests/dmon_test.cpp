@@ -146,6 +146,31 @@ TEST(DmonProcfs, PeerCannotTakeOverTheClustersOwnFiles) {
   EXPECT_NE(late.value().find("count "), std::string::npos) << late.value();
 }
 
+TEST(DmonMembership, GracefulLeaveLeavesNoGhostPeer) {
+  // The leaver's last feed can still sit in a survivor's receive queue when
+  // the departure is confirmed. Draining it must not re-learn the node from
+  // the fabric name table: that ghost would go stale for good, bring its
+  // /proc/cluster subtree back and hold every survivor's score below 100.
+  sim::Engine engine;
+  ClusterConfig config;
+  config.node_count = 3;
+  config.health.enabled = true;
+  Cluster cluster{engine, config};
+  cluster.start_dproc();
+  engine.run_until(SimTime::zero() + seconds(5.0));
+  const net::NodeId gone = cluster.nic(1).node();
+  const std::string dir = "/proc/cluster/" + cluster.host(1).name();
+  ASSERT_TRUE(cluster.procfs(0).exists(dir));
+  cluster.leave_node(1);
+  engine.run_until(engine.now() + seconds(25.0));
+  for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
+    const DMon& dmon = *cluster.dmon(i);
+    EXPECT_FALSE(dmon.peer_health(gone).has_value()) << "node " << i;
+    EXPECT_FALSE(cluster.procfs(i).exists(dir)) << "node " << i;
+    EXPECT_EQ(dmon.health_engine()->score(), 100.0) << "node " << i;
+  }
+}
+
 TEST_F(DmonTest, PollReportsSubmitAndReceiveCosts) {
   settle(5.0);
   const PollRecord& record = cluster->dmon(0)->last_poll();

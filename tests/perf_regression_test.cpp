@@ -3,7 +3,8 @@
 // These pin the properties the perf overhaul is built on: a warm Vm::run
 // allocates nothing, a Vm is re-entrant (same program, same input, same
 // result on every call), and once warm the event engine, the fabric and
-// TCP schedule, forward and acknowledge without touching the heap. The
+// TCP schedule, forward and acknowledge without touching the heap, and a
+// warm /proc read allocates only the string it returns. The
 // alloc counter comes from bench/alloc_counter.cpp,
 // whose global operator new/delete override counts every heap allocation
 // in the test binary.
@@ -325,6 +326,33 @@ TEST(PerfRegressionTest, WarmTcpExchangeAllocatesNothingPerSegment) {
   EXPECT_EQ(replies, 1010u);
   EXPECT_EQ(client->stats().retransmissions, 0u);
   EXPECT_EQ(request.use_count(), 1) << "acked segments must release messages";
+}
+
+TEST(PerfRegressionTest, WarmProcfsReadAllocatesOnlyItsAnswer) {
+  // A read walks its path as string views, through the peer's binding into
+  // the shared peer subtree, and formats into a stack buffer: the string it
+  // returns is its only heap block.
+  dproc::sim::Engine engine;
+  dproc::core::ClusterConfig config;
+  config.node_count = 3;
+  config.node_names = {"alan", "maui", "etna"};
+  dproc::core::Cluster cluster{engine, config};
+  cluster.start_dproc();
+  engine.run_until(dproc::SimTime::zero() + dproc::seconds(5.0));
+  dproc::procfs::ProcFs& fs = cluster.procfs(0);
+  for (const std::string path :
+       {"/proc/cluster/etna/cpu/loadavg", "/proc/cluster/maui/net/rtt_us",
+        "/proc/cluster/etna/status", "/proc/cluster/maui/control",
+        "/proc/cpu/loadavg"}) {
+    ASSERT_TRUE(fs.read(path).is_ok()) << path;  // warm
+    const std::uint64_t before = dproc::bench::alloc_count();
+    auto content = fs.read(path);
+    const std::uint64_t allocs = dproc::bench::alloc_count() - before;
+    ASSERT_TRUE(content.is_ok()) << path;
+    EXPECT_NE(content.value(), "no data\n") << path;
+    EXPECT_LE(allocs, 1u) << path << " read made " << allocs
+                          << " allocations";
+  }
 }
 
 TEST(PerfRegressionTest, FlatClusterStaysUnderHalfAnAllocationPerEvent) {
