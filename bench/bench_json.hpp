@@ -85,4 +85,13 @@ inline std::uint64_t bench_iterations(std::uint64_t default_iters) {
   return default_iters;
 }
 
+/// Cluster-size override for smoke runs (DPROC_BENCH_NODES, at least 2).
+inline std::size_t bench_nodes(std::size_t default_nodes) {
+  if (const char* s = std::getenv("DPROC_BENCH_NODES")) {
+    const unsigned long long v = std::strtoull(s, nullptr, 10);
+    if (v >= 2) return static_cast<std::size_t>(v);
+  }
+  return default_nodes;
+}
+
 }  // namespace dproc::bench

@@ -42,14 +42,6 @@ struct AdaptRun {
   double allocs = 0;
 };
 
-std::size_t bench_nodes() {
-  if (const char* s = std::getenv("DPROC_BENCH_NODES")) {
-    const unsigned long v = std::strtoul(s, nullptr, 10);
-    if (v >= 2) return static_cast<std::size_t>(v);
-  }
-  return 8;
-}
-
 double max_overhead(core::Cluster& cluster) {
   double worst = 0.0;
   for (std::size_t i = 0; i < cluster.size(); ++i) {
@@ -168,7 +160,7 @@ int main(int argc, char** argv) {
 
   // Sweep up to the configured size; the bar applies at the largest.
   std::vector<std::size_t> sizes{2, 4};
-  const std::size_t largest = bench_nodes();
+  const std::size_t largest = bench_nodes(8);
   while (!sizes.empty() && sizes.back() >= largest) sizes.pop_back();
   sizes.push_back(largest);
 

@@ -33,13 +33,7 @@ struct SteadyState {
 /// Cluster size: 8 by default (the tracked BENCH numbers);
 /// DPROC_BENCH_NODES scales the same measurement up (EXPERIMENTS.md runs
 /// the 8 -> 64 sweep this way).
-std::size_t bench_nodes() {
-  if (const char* s = std::getenv("DPROC_BENCH_NODES")) {
-    const unsigned long v = std::strtoul(s, nullptr, 10);
-    if (v >= 2) return static_cast<std::size_t>(v);
-  }
-  return 8;
-}
+constexpr std::size_t kDefaultNodes = 8;
 
 /// Drives the cluster for `periods` monitoring periods (one per simulated
 /// second) and reports the steady-state deltas after a warm-up window
@@ -50,7 +44,7 @@ SteadyState measure(bool batched, std::uint64_t periods) {
 
   sim::Engine engine;
   core::ClusterConfig config;
-  config.node_count = bench_nodes();
+  config.node_count = bench_nodes(kDefaultNodes);
   if (batched) {
     config.batch.enabled = true;
     config.batch.delta_epsilon = 0.0;  // suppress exactly-unchanged values
@@ -139,7 +133,7 @@ int main(int argc, char** argv) {
   const double byte_reduction = static_cast<double>(baseline.wire_bytes) /
                                 static_cast<double>(batched.wire_bytes);
 
-  const std::string nodes = std::to_string(bench_nodes());
+  const std::string nodes = std::to_string(bench_nodes(kDefaultNodes));
   Table table({"batched", "events/period", "wire_bytes/period", "ns/event"});
   const double p = static_cast<double>(periods);
   table.add_row({0, static_cast<double>(baseline.events) / p,

@@ -27,7 +27,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -40,14 +39,6 @@ namespace {
 
 constexpr double kMaxAllocsPerRead = 1.0;
 constexpr double kMaxHeapBytesPerPeer = 512.0;
-
-std::size_t bench_nodes() {
-  if (const char* s = std::getenv("DPROC_BENCH_NODES")) {
-    const unsigned long long v = std::strtoull(s, nullptr, 10);
-    if (v >= 2) return static_cast<std::size_t>(v);
-  }
-  return 128;
-}
 
 volatile std::size_t g_sink = 0;
 
@@ -90,7 +81,7 @@ JsonBenchEntry measure_reads(const std::string& name, procfs::ProcFs& fs,
 }
 
 int run() {
-  const std::size_t nodes = bench_nodes();
+  const std::size_t nodes = bench_nodes(128);
   const std::uint64_t iters = bench_iterations(200'000);
 
   sim::Engine engine;

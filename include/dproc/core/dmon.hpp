@@ -523,6 +523,7 @@ class DMon {
   std::vector<MetricDesc> metric_table_;
   std::map<std::string, MetricId> metric_ids_;
   std::vector<MetricSample> last_collected_;  // local values, id order
+  std::vector<MetricSample> collected_;  // poll()'s scratch, capacity kept
 
   std::unique_ptr<PublisherTuning> tuning_;
   /// Declared peers in ascending node order: the order every peer walk

@@ -21,6 +21,7 @@
 #include "dproc/host/host.hpp"
 #include "dproc/net/tcp.hpp"
 #include "dproc/sim/engine.hpp"
+#include "dproc/util/fifo.hpp"
 
 namespace dproc::core {
 
@@ -50,6 +51,15 @@ class MonitoringModule {
 /// Average run-queue length over an application-specified window (default
 /// 1 minute, like /proc/loadavg's shortest standard window), sampled by a
 /// kernel thread at 10 Hz. Also reports instantaneous CPU utilization.
+///
+/// The history holds only what the window can ask for: samples no older
+/// than the window (or one hour, whichever is shorter, and at most one
+/// hour's worth), in a ring with a running sum, so a sample and a read are
+/// O(1) and the heap stays at one window's worth. A retune to a shorter
+/// window (`window cpu <sec>`, via set_period) is exact at once. A retune
+/// to a longer one averages the samples held until then, and the history
+/// fills up over the new window, as a freshly started kernel thread would;
+/// once the new window has passed the average covers all of it again.
 class CpuMonitor : public MonitoringModule {
  public:
   CpuMonitor(host::Host& host, SimDuration window = seconds(60.0),
@@ -66,12 +76,18 @@ class CpuMonitor : public MonitoringModule {
 
  private:
   void schedule_next_sample();
+  /// Drops samples taken before `cutoff` from the history and its sum.
+  void trim(SimTime cutoff) const;
 
   host::Host& host_;
   SimDuration window_;
   SimDuration sample_interval_;
   double sample_cycles_;
-  std::vector<std::pair<SimTime, double>> samples_;  // bounded ring
+  // (sampled at, run-queue length), oldest first, and their sum. Run-queue
+  // lengths are whole numbers, so the running sum is exact and sum / n has
+  // the bits of a fresh summation. load_average() trims as time passes.
+  mutable Fifo<std::pair<SimTime, double>> samples_;
+  mutable double sum_ = 0.0;
   std::size_t max_samples_;
   sim::EventHandle timer_;
 };

@@ -109,8 +109,10 @@ class PublisherTuning {
   [[nodiscard]] Status validate(const TuningConfig& config) const;
 
   /// Decides which samples to publish now. `samples` holds every metric in
-  /// id order. Updates last-sent bookkeeping for the chosen metrics.
-  Decision decide(const std::vector<MetricSample>& samples, SimTime now);
+  /// id order. Updates last-sent bookkeeping for the chosen metrics. The
+  /// decision is this publisher's scratch, reused (capacity kept) by the
+  /// next call; the caller may edit it until then.
+  Decision& decide(const std::vector<MetricSample>& samples, SimTime now);
 
   [[nodiscard]] bool has_filter() const { return filter_.has_value(); }
   [[nodiscard]] const std::string& filter_source() const {
@@ -211,6 +213,7 @@ class PublisherTuning {
   ecode::Vm vm_;
   ecode::FilterResult filter_result_;
   std::vector<ecode::Sample> filter_input_;
+  Decision decision_;
 
   std::vector<SentState> sent_;  // indexed by metric id
 };

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -32,6 +31,7 @@
 #include "dproc/kecho/registry.hpp"
 #include "dproc/net/tcp.hpp"
 #include "dproc/net/wire.hpp"
+#include "dproc/util/fifo.hpp"
 #include "dproc/util/flat_map.hpp"
 
 namespace dproc::kecho {
@@ -229,7 +229,7 @@ class Channel {
   bool ready_ = false;
   std::vector<Member> members_;  // remote members
   Handler handler_;
-  std::deque<Event> rx_queue_;
+  Fifo<Event> rx_queue_;
   std::uint64_t submitted_ = 0;
   std::uint64_t received_ = 0;
   /// send_each's frame cache: one entry per distinct payload of the

@@ -29,6 +29,7 @@ bool reserved_peer_name(const std::string& name) {
 
 net::MessagePtr encode_monitor_event(const std::vector<MetricSample>& samples) {
   net::ByteWriter w;
+  w.reserve(1 + 4 + 20 * samples.size());
   w.u8(DMon::kOpMonitor);
   w.u32(static_cast<std::uint32_t>(samples.size()));
   for (const MetricSample& s : samples) {
@@ -1201,7 +1202,8 @@ PollRecord DMon::poll() {
   charge(config_.overheads.collect_cycles_per_module *
          static_cast<double>(modules_.size()));
   const SimTime now = host_.engine().now();
-  std::vector<MetricSample> collected;
+  std::vector<MetricSample>& collected = collected_;
+  collected.clear();
   collected.reserve(metric_table_.size());
   std::vector<MetricRange> dropped;
   for (ModuleEntry& entry : modules_) {
@@ -1244,7 +1246,7 @@ PollRecord DMon::poll() {
   if (adapter_) adapter_->observe(collected, last_published_);
 
   // --- decide + submit ---------------------------------------------------
-  Decision decision = tuning_->decide(collected, now);
+  Decision& decision = tuning_->decide(collected, now);
   if (!dropped.empty()) {
     // Nothing from a dropped module goes on the wire this period.
     std::erase_if(decision.to_send, [&dropped](const MetricSample& s) {

@@ -40,40 +40,38 @@ void CpuMonitor::schedule_next_sample() {
     // The kernel thread wakes, walks the task list, records the run-queue
     // length. Both the walk and the wakeup cost kernel cycles.
     host_.cpu().consume_kernel_cycles(sample_cycles_);
-    samples_.emplace_back(host_.engine().now(),
-                          static_cast<double>(host_.cpu().run_queue_length()));
-    // Trim anything older than the largest window we may be asked about.
-    const SimTime cutoff = host_.engine().now() - seconds(3600.0);
-    while (samples_.size() > max_samples_ ||
-           (!samples_.empty() && samples_.front().first < cutoff)) {
-      samples_.erase(samples_.begin());
-    }
+    const SimTime now = host_.engine().now();
+    const double queued = static_cast<double>(host_.cpu().run_queue_length());
+    samples_.push_back({now, queued});
+    sum_ += queued;
+    // Keep what a read of the current window (capped at 1 h) can ask for.
+    while (samples_.size() > max_samples_) sum_ -= samples_.pop_front().second;
+    trim(now - std::min(window_, seconds(3600.0)));
     schedule_next_sample();
   });
 }
 
 CpuMonitor::~CpuMonitor() { timer_.cancel(); }
 
+void CpuMonitor::trim(SimTime cutoff) const {
+  while (!samples_.empty() && samples_.front().first < cutoff) {
+    sum_ -= samples_.pop_front().second;
+  }
+}
+
 std::vector<MetricDesc> CpuMonitor::metrics() const {
   return {{0, "loadavg", "cpu/loadavg"}, {0, "cpu_util", "cpu/utilization"}};
 }
 
 double CpuMonitor::load_average() const {
-  const SimTime cutoff = host_.engine().now() - window_;
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (auto it = samples_.rbegin(); it != samples_.rend(); ++it) {
-    if (it->first < cutoff) break;
-    sum += it->second;
-    ++n;
-  }
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
+  trim(host_.engine().now() - window_);
+  return samples_.empty() ? 0.0
+                          : sum_ / static_cast<double>(samples_.size());
 }
 
 void CpuMonitor::collect(std::vector<MetricSample>& out, SimTime now) {
-  const auto& descs = metrics();
-  out.push_back(sample(descs[0].id, load_average(), now));
-  out.push_back(sample(descs[1].id, host_.cpu().utilization(), now));
+  out.push_back(sample(0, load_average(), now));
+  out.push_back(sample(0, host_.cpu().utilization(), now));
 }
 
 // --- MEM_MON ---------------------------------------------------------------

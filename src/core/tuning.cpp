@@ -298,9 +298,12 @@ bool PublisherTuning::passes_parameters(const MetricSample& sample,
   return true;
 }
 
-Decision PublisherTuning::decide(const std::vector<MetricSample>& samples,
-                                 SimTime now) {
-  Decision decision;
+Decision& PublisherTuning::decide(const std::vector<MetricSample>& samples,
+                                  SimTime now) {
+  Decision& decision = decision_;
+  decision.to_send.clear();
+  decision.filter_instructions = 0;
+  decision.filter_error = false;
 
   if (filter_) {
     // Dynamic filter path: the E-code program is the whole policy. The

@@ -771,8 +771,7 @@ PollStats Node::poll() {
   double cycles = costs_.poll_base_cycles;
   for (Channel* channel : poll_list_) {
     while (!channel->rx_queue_.empty()) {
-      Event event = std::move(channel->rx_queue_.front());
-      channel->rx_queue_.pop_front();
+      Event event = channel->rx_queue_.pop_front();
       cycles += costs_.receive_base_cycles +
                 costs_.receive_per_byte_cycles *
                     static_cast<double>(event.payload_size());

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "dproc/core/monitors.hpp"
 #include "dproc/host/host.hpp"
 
 namespace dproc::host {
@@ -255,6 +256,82 @@ TEST(Pmc, IncrementAccumulates) {
   pmc.increment(Pmc::kCacheMisses, 5);
   EXPECT_EQ(pmc.read(Pmc::kCacheMisses), 15u);
   EXPECT_EQ(pmc.counter_names().size(), 1u);
+}
+
+// --- CPU_MON ---------------------------------------------------------------
+
+// One host whose run queue keeps changing: a server task fed work items at
+// irregular times from its own stream, and a compute task that joins at
+// t = 30 min. The CPU_MON under test samples it at 10 Hz (jittered).
+class CpuMonTest : public ::testing::Test {
+ protected:
+  sim::Engine engine;
+  Host host{engine, 0, HostConfig{}, Rng{7}};
+  Rng arrivals{11};
+  TaskId server = host.cpu().add_server_task("srv");
+
+  void SetUp() override {
+    feed();
+    engine.schedule_at(SimTime::zero() + seconds(1800.0),
+                       [this] { host.cpu().add_compute_task("linpack"); });
+  }
+
+  void feed() {
+    engine.schedule_after(seconds(arrivals.uniform(0.2, 1.2)), [this] {
+      host.cpu().submit_work(server, arrivals.uniform(0.02, 0.4), {});
+      feed();
+    });
+  }
+
+  void run_to(double sec) { engine.run_until(SimTime::zero() + seconds(sec)); }
+};
+
+// Values pinned from the whole-hour history CPU_MON kept before its
+// history was bounded by the window: a window-sized ring must reproduce
+// them bit for bit, before the first hour and long after it.
+TEST_F(CpuMonTest, LoadAverageIsUnchangedPastTheFirstHour) {
+  core::CpuMonitor mon{host, seconds(5.0)};
+  run_to(10.0);
+  EXPECT_EQ(mon.load_average(), 0.41999999999999998);
+  run_to(3610.0);
+  EXPECT_EQ(mon.load_average(), 1.5686274509803921);
+  run_to(7200.0);
+  EXPECT_EQ(mon.load_average(), 1.6734693877551021);
+}
+
+// A window over one hour averages the last hour, as it always did.
+TEST_F(CpuMonTest, WindowOverAnHourAveragesTheLastHour) {
+  core::CpuMonitor mon{host, seconds(7200.0)};
+  run_to(3000.0);
+  EXPECT_EQ(mon.load_average(), 0.81704594675640552);
+  run_to(7200.0);
+  EXPECT_EQ(mon.load_average(), 1.5997722032391588);
+}
+
+// A retune to a shorter window (`window cpu 5`) is exact at once: the
+// samples it covers are all held.
+TEST_F(CpuMonTest, RetuneToAShorterWindowIsExactAtOnce) {
+  core::CpuMonitor mon{host, seconds(60.0)};
+  run_to(600.0);
+  EXPECT_EQ(mon.load_average(), 0.27500000000000002);
+  mon.set_period(seconds(5.0));
+  EXPECT_EQ(mon.load_average(), 0.40000000000000002);
+  run_to(610.0);
+  EXPECT_EQ(mon.load_average(), 0.25490196078431371);
+}
+
+// A retune to a longer window averages the samples held — the old window —
+// and fills up over the new one; one new window later it covers all of it.
+TEST_F(CpuMonTest, RetuneToALongerWindowFillsUpOverTheNewWindow) {
+  core::CpuMonitor mon{host, seconds(5.0)};
+  run_to(600.0);
+  const double before = mon.load_average();
+  mon.set_period(seconds(60.0));
+  EXPECT_EQ(mon.load_average(), before);
+  run_to(660.0);
+  EXPECT_EQ(mon.load_average(), 0.29048414023372288);
+  run_to(700.0);
+  EXPECT_EQ(mon.load_average(), 0.3193979933110368);
 }
 
 // --- host aggregate --------------------------------------------------------

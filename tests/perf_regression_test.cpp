@@ -3,8 +3,9 @@
 // These pin the properties the perf overhaul is built on: a warm Vm::run
 // allocates nothing, a Vm is re-entrant (same program, same input, same
 // result on every call), and once warm the event engine, the fabric and
-// TCP schedule, forward and acknowledge without touching the heap, and a
-// warm /proc read allocates only the string it returns. The
+// TCP schedule, forward and acknowledge without touching the heap, a
+// warm /proc read allocates only the string it returns, and CPU_MON's
+// history stops growing once its window is full. The
 // alloc counter comes from bench/alloc_counter.cpp,
 // whose global operator new/delete override counts every heap allocation
 // in the test binary.
@@ -18,6 +19,7 @@
 
 #include "../bench/alloc_counter.hpp"
 #include "dproc/core/cluster.hpp"
+#include "dproc/core/monitors.hpp"
 #include "dproc/ecode/ecode.hpp"
 #include "dproc/net/fabric.hpp"
 #include "dproc/net/nic.hpp"
@@ -353,6 +355,28 @@ TEST(PerfRegressionTest, WarmProcfsReadAllocatesOnlyItsAnswer) {
     EXPECT_LE(allocs, 1u) << path << " read made " << allocs
                           << " allocations";
   }
+}
+
+TEST(PerfRegressionTest, FullCpuMonWindowSamplesWithoutAllocating) {
+  // CPU_MON's history is bounded by its window: once the window is full,
+  // an hour of 10 Hz sampling (and a read every second, as d-mon's poll
+  // makes) neither allocates nor holds more heap.
+  dproc::sim::Engine engine;
+  dproc::host::Host host{engine, 0, dproc::host::HostConfig{},
+                         dproc::Rng{3}};
+  host.cpu().add_compute_task("linpack");
+  dproc::core::CpuMonitor mon{host, dproc::seconds(5.0)};
+  auto reader = engine.schedule_periodic(
+      dproc::seconds(1.0), [&] { (void)mon.load_average(); });
+  engine.run_until(dproc::SimTime::zero() + dproc::seconds(10.0));
+
+  const std::uint64_t allocs_before = dproc::bench::alloc_count();
+  const std::int64_t heap_before = dproc::bench::alloc_live_bytes();
+  engine.run_until(dproc::SimTime::zero() + dproc::seconds(3610.0));
+  EXPECT_EQ(dproc::bench::alloc_count() - allocs_before, 0u);
+  EXPECT_LE(dproc::bench::alloc_live_bytes(), heap_before);
+  EXPECT_EQ(mon.load_average(), 1.0);
+  reader.cancel();
 }
 
 TEST(PerfRegressionTest, FlatClusterStaysUnderHalfAnAllocationPerEvent) {

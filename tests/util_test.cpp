@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "dproc/util/fifo.hpp"
 #include "dproc/util/flat_map.hpp"
 #include "dproc/util/rng.hpp"
 #include "dproc/util/stats.hpp"
@@ -73,6 +75,66 @@ TEST(FlatMap, KeepsKeyOrderWhateverTheInsertOrder) {
   EXPECT_EQ(map.size(), 3u);
   map.clear();
   EXPECT_TRUE(map.empty());
+}
+
+TEST(Fifo, WrapsAroundAtCapacityTwo) {
+  Fifo<int> fifo;
+  fifo.push_back(1);
+  EXPECT_EQ(fifo.capacity(), 2u);  // the first buffer holds two
+  fifo.push_back(2);
+  // Pop one, push one, many times over: the head keeps wrapping inside the
+  // first buffer, which never grows.
+  for (int next = 3; next < 20; ++next) {
+    EXPECT_EQ(fifo.pop_front(), next - 2);
+    fifo.push_back(next);
+    EXPECT_EQ(fifo.size(), 2u);
+    EXPECT_EQ(fifo.front(), next - 1);
+    EXPECT_EQ(fifo.back(), next);
+  }
+  EXPECT_EQ(fifo.capacity(), 2u);
+}
+
+TEST(Fifo, GrowsWhileTheHeadIsWrapped) {
+  Fifo<int> fifo;
+  for (int i = 0; i < 4; ++i) fifo.push_back(i);  // capacity 4, full
+  EXPECT_EQ(fifo.pop_front(), 0);
+  EXPECT_EQ(fifo.pop_front(), 1);
+  fifo.push_back(4);
+  fifo.push_back(5);  // wraps: the buffer reads 4 5 2 3, head at 2
+  fifo.push_back(6);  // full with a wrapped head: grows to 8
+  EXPECT_EQ(fifo.capacity(), 8u);
+  ASSERT_EQ(fifo.size(), 5u);
+  for (std::size_t i = 0; i < fifo.size(); ++i) {
+    EXPECT_EQ(fifo[i], static_cast<int>(i) + 2);  // oldest first
+  }
+  for (int expect = 2; expect <= 6; ++expect) {
+    EXPECT_EQ(fifo.pop_front(), expect);
+  }
+  EXPECT_TRUE(fifo.empty());
+}
+
+TEST(Fifo, ReleasesWhatItsElementsOwnOnPopAndClear) {
+  auto a = std::make_shared<int>(1);
+  auto b = std::make_shared<int>(2);
+  auto c = std::make_shared<int>(3);
+  Fifo<std::shared_ptr<int>> fifo;
+  fifo.push_back(a);
+  fifo.push_back(b);
+  fifo.push_back(c);
+  EXPECT_EQ(a.use_count(), 2);
+  // The popped element leaves its cell moved-from: once the caller drops
+  // it, the queue holds no reference.
+  (void)fifo.pop_front();
+  EXPECT_EQ(a.use_count(), 1);
+  fifo.clear();
+  EXPECT_TRUE(fifo.empty());
+  EXPECT_EQ(b.use_count(), 1);
+  EXPECT_EQ(c.use_count(), 1);
+  // The buffer is kept: a cleared queue reuses it.
+  const std::size_t capacity = fifo.capacity();
+  fifo.push_back(a);
+  EXPECT_EQ(fifo.capacity(), capacity);
+  EXPECT_EQ(*fifo.front(), 1);
 }
 
 TEST(Rng, DeterministicForSeed) {
